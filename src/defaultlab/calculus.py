@@ -1,7 +1,9 @@
 """Discrete stochastic calculus on a uniform grid.
 
-All operators act on step arrays (trailing dim N, column k-1 is step k) and
-level arrays (trailing dim N+1), broadcasting over leading path dimensions.
+The affine operators act on step arrays (trailing dim N, column k-1 is
+step k) and level arrays (trailing dim N+1), broadcasting over leading path
+dimensions.  The predictable sums and brackets take any carrier (tree or
+path bundle) and go through its carrier methods.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ __all__ = [
     "doleans_exponential",
     "affine_solve",
     "affine_solve_product_form",
+    "predictable_sum",
+    "step_bracket",
     "predictable_bracket",
 ]
 
@@ -102,23 +106,49 @@ def affine_solve_product_form(a, w_increments: np.ndarray, v_increments: np.ndar
     return out
 
 
-def predictable_bracket(x, y) -> np.ndarray:
+def predictable_sum(carrier, increments):
+    """Level process A_0 = 0, A_k = A_{k-1} + dA_k of predictable increments.
+
+    ``increments`` is a carrier step object whose entry k-1 is dA_k on the
+    parent level; the result is a level object of the same carrier.
+    """
+    n = carrier.grid.steps
+    out = carrier.alloc(n + 1)
+    carrier.put(out, 0, np.zeros(carrier.n_nodes(0)))
+    for k in range(1, n + 1):
+        carrier.put(out, k, carrier.lift(carrier.at(out, k - 1) + carrier.at(increments, k - 1)))
+    return out
+
+
+def step_bracket(carrier, k: int, x_coeffs: dict, y_coeffs: dict) -> np.ndarray:
+    """E[dX_k dY_k | F_{k-1}] of two driver-linear step-k increments.
+
+    Both maps send a driver to its predictable step-k coefficient; the
+    per-step covariances come from the carrier's increment model and the
+    terms are summed in a fixed order.  Parent-level array out.
+    """
+    out = np.zeros(carrier.n_nodes(k - 1))
+    for d, cx in x_coeffs.items():
+        for e, cy in y_coeffs.items():
+            cov = carrier.model.cov(d, e)
+            if cov != 0.0:
+                out = out + cx * cy * cov
+    return out
+
+
+def predictable_bracket(x, y):
     """Cumulative predictable bracket of two driver-linear processes.
 
     B_k = sum_{j<=k} E[dX_j dY_j | F_{j-1}] computed from the closed-form
     per-step covariances of the increment model, never from sample moments.
-    Both processes must live on the same bundle.
+    Both processes (``TestMartingale``s) must live on the same carrier; the
+    result is a level object of that carrier.
     """
-    if x.bundle is not y.bundle:
-        raise GridMismatchError("bracket operands live on different bundles")
-    model = x.bundle.model
-    shape = (x.bundle.n_paths, x.bundle.grid.steps)
-    inc = np.zeros(shape)
-    for da, ca in x.coeffs.items():
-        for db, cb in y.coeffs.items():
-            gamma = model.cov(da, db)
-            if gamma != 0.0:
-                inc += gamma * ca * cb
-    out = np.zeros((shape[0], shape[1] + 1))
-    np.cumsum(inc, axis=-1, out=out[:, 1:])
-    return out
+    carrier = x.carrier
+    if carrier is not y.carrier:
+        raise GridMismatchError("bracket operands live on different carriers")
+    n = carrier.grid.steps
+    inc = carrier.alloc(n)
+    for k in range(1, n + 1):
+        carrier.put(inc, k - 1, step_bracket(carrier, k, x.step_coeffs(k), y.step_coeffs(k)))
+    return predictable_sum(carrier, inc)

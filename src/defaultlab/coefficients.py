@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
-from .grids import PathBundle, philox_stream
+from .grids import philox_stream
 from .tree import ScenarioTree
 
 __all__ = [
@@ -422,27 +422,16 @@ class NaturalPair:
     margin_b: object
 
     @property
-    def is_tree(self) -> bool:
-        return isinstance(self.carrier, ScenarioTree)
-
-    @property
     def m(self) -> int:
         return self.spec.m
 
     def y_step(self, k: int):
         """(m, children/paths) realized increments of step k."""
-        if self.is_tree:
-            return self.y_increments[k - 1]
-        return self.y_increments[:, :, k - 1]
+        return self.carrier.at(self.y_increments, k - 1)
 
     def min_margins(self):
-        if self.is_tree:
-            a = min(float(np.min(lvl)) for lvl in self.margin_a)
-            b = min(float(np.min(lvl)) for lvl in self.margin_b)
-        else:
-            a = float(np.min(self.margin_a))
-            b = float(np.min(self.margin_b))
-        return a, b
+        flat = self.carrier.flat
+        return float(np.min(flat(self.margin_a))), float(np.min(flat(self.margin_b)))
 
 
 def _draw_candidates(spec, imodel, grid, drivers, scale, seed):
@@ -524,45 +513,52 @@ def build_y(
     """
     carrier = model.carrier
     imodel = carrier.model
-    cand, blk = _draw_candidates(spec, imodel, carrier.grid, drivers, scale, seed)
-    args = (spec, model, carrier, imodel, cand, blk, drivers, scale, seed, ladder_depth)
-    if isinstance(carrier, ScenarioTree):
-        return _build_y_tree(*args)
-    if isinstance(carrier, PathBundle):
-        return _build_y_bundle(*args, table_cells)
-    raise ConfigurationError(f"unsupported carrier {type(carrier).__name__}")
-
-
-def _build_y_tree(spec, model, tree, imodel, cand, blk, drivers, scale, seed, ladder_depth):
-    n = tree.depth
-    tri_branch = tree._block_branch[blk.name]
+    grid = carrier.grid
+    n = grid.steps
+    cand, blk = _draw_candidates(spec, imodel, grid, drivers, scale, seed)
     pats = [imodel.pattern(d) for d in drivers]
-    y_inc, rho_levels, ma_levels, mb_levels = [], [], [], []
-    coeffs = {d: [] for d in drivers}
+    exact = isinstance(carrier, ScenarioTree)
+    y_inc = carrier.alloc(n, spec.m)
+    coeffs = {d: carrier.alloc(n, spec.m) for d in drivers}
+    rho_all, ma_all, mb_all = carrier.alloc(n), carrier.alloc(n), carrier.alloc(n)
     for k in range(1, n + 1):
-        oracle = _StepMarginOracle(spec, tree.grid.times[k], cand[k - 1])
-        ps = model.pred_one_minus_z[k - 1]
-        inf_b = oracle.inf_b_exact(ps)  # (parents, b) over block branches
-        dm = model.tilde_m_increments[k - 1].reshape(len(ps), tree.branching)
-        one_plus_dm = 1.0 + dm
-        # per-branch quantities live on block branches; expand them onto the
-        # combined children through the block's branch index
-        sup_a_child = oracle.sup_a[tri_branch]
-        inf_b_child = inf_b[:, tri_branch]
-        bound = _rho_bounds(one_plus_dm, sup_a_child[None, :], inf_b_child)
+        oracle = _StepMarginOracle(spec, grid.times[k], cand[k - 1])
+        ps = carrier.at(model.pred_one_minus_z, k - 1)
+        dm = carrier.at(model.tilde_m_increments, k - 1)
+        sup_a = carrier.realize(oracle.sup_a[None, :], blk, k)
+        if exact:
+            # every child is realized: bound each node by its own children
+            inf_b = oracle.inf_b_exact(ps)  # (parents, b) over block branches
+            siblings = (-1, carrier.branching)
+            bound = _rho_bounds(
+                (1.0 + dm).reshape(siblings),
+                sup_a.reshape(siblings),
+                carrier.realize(inf_b, blk, k).reshape(siblings),
+            )
+        else:
+            # a path realizes one branch; admissibility must cover every
+            # branch outcome of dm, rebuilt from its coefficients
+            oracle.build_table(table_cells)
+            inf_b = oracle.inf_b_table(ps)  # (paths, b) conservative
+            dm_branch = 0.0
+            for d, c in model.tilde_m_coeffs.items():
+                dm_branch = dm_branch + c[:, k - 1 : k] * imodel.pattern(d)[None, :]
+            bound = _rho_bounds(1.0 + dm_branch, oracle.sup_a[None, :], inf_b)
         rho = _ladder_select(bound, ladder_depth)
-        dy = (rho[None, :, None] * cand[k - 1][:, None, tri_branch]).reshape(spec.m, -1)
-        y_inc.append(dy)
-        rho_levels.append(rho)
-        ma_levels.append((one_plus_dm - rho[:, None] * sup_a_child[None, :]).reshape(-1))
-        mb_levels.append((one_plus_dm + rho[:, None] * inf_b_child).reshape(-1))
-        split = _coeff_split(cand[k - 1], drivers, pats)
-        for d, c in zip(drivers, split):
-            coeffs[d].append(rho[None, :] * c[:, None])
+        rho_child = carrier.lift(rho)
+        carrier.put(rho_all, k - 1, rho)
+        dy = rho_child[None, :] * carrier.realize(cand[k - 1][:, None, :], blk, k)
+        carrier.put(y_inc, k - 1, dy)
+        # margins use the realized dm: on a bundle the branch values rebuilt
+        # from coefficients differ from it in the last bits
+        carrier.put(ma_all, k - 1, (1.0 + dm) - rho_child * sup_a)
+        carrier.put(mb_all, k - 1, (1.0 + dm) + rho_child * carrier.realize(inf_b, blk, k))
+        for d, c in zip(drivers, _coeff_split(cand[k - 1], drivers, pats)):
+            carrier.put(coeffs[d], k - 1, rho[None, :] * c[:, None])
     return NaturalPair(
         spec=spec,
         model=model,
-        carrier=tree,
+        carrier=carrier,
         drivers=drivers,
         scale=scale,
         seed=seed,
@@ -570,80 +566,14 @@ def _build_y_tree(spec, model, tree, imodel, cand, blk, drivers, scale, seed, la
         candidates=cand,
         y_coeffs=coeffs,
         y_increments=y_inc,
-        rho=rho_levels,
-        margin_a=ma_levels,
-        margin_b=mb_levels,
-    )
-
-
-def _build_y_bundle(
-    spec, model, bundle, imodel, cand, blk, drivers, scale, seed, ladder_depth, table_cells
-):
-    grid = bundle.grid
-    n = grid.steps
-    p = bundle.n_paths
-    branch = bundle.branches[blk.name]
-    pats = [imodel.pattern(d) for d in drivers]
-    coeff_mats = {d: np.empty((spec.m, p, n)) for d in drivers}
-    y_inc = np.empty((spec.m, p, n))
-    rho_mat = np.empty((p, n))
-    ma_mat = np.empty((p, n))
-    mb_mat = np.empty((p, n))
-    rows = np.arange(p)
-    for k in range(1, n + 1):
-        oracle = _StepMarginOracle(spec, grid.times[k], cand[k - 1])
-        oracle.build_table(table_cells)
-        ps = model.pred_one_minus_z[:, k - 1]
-        inf_b = oracle.inf_b_table(ps)  # (paths, b) conservative
-        # admissibility must cover every branch outcome of dm, not just the
-        # realized one; rebuild the branch values from the coefficients
-        dm_branch = 0.0
-        for d, c in model.tilde_m_coeffs.items():
-            dm_branch = dm_branch + c[:, k - 1 : k] * imodel.pattern(d)[None, :]
-        one_plus_dm = 1.0 + dm_branch
-        bound = _rho_bounds(one_plus_dm, oracle.sup_a[None, :], inf_b)
-        rho = _ladder_select(bound, ladder_depth)
-        bk = branch[:, k - 1]
-        rho_mat[:, k - 1] = rho
-        y_inc[:, :, k - 1] = rho[None, :] * cand[k - 1][:, bk]
-        dm_real = model.tilde_m_increments[:, k - 1]
-        ma_mat[:, k - 1] = (1.0 + dm_real) - rho * oracle.sup_a[bk]
-        mb_mat[:, k - 1] = (1.0 + dm_real) + rho * inf_b[rows, bk]
-        split = _coeff_split(cand[k - 1], drivers, pats)
-        for d, c in zip(drivers, split):
-            coeff_mats[d][:, :, k - 1] = rho[None, :] * c[:, None]
-    return NaturalPair(
-        spec=spec,
-        model=model,
-        carrier=bundle,
-        drivers=drivers,
-        scale=scale,
-        seed=seed,
-        ladder_depth=ladder_depth,
-        candidates=cand,
-        y_coeffs=coeff_mats,
-        y_increments=y_inc,
-        rho=rho_mat,
-        margin_a=ma_mat,
-        margin_b=mb_mat,
+        rho=rho_all,
+        margin_a=ma_all,
+        margin_b=mb_all,
     )
 
 
 # ---------------------------------------------------------------------------
 # pair conditions (i)(ii)(iii)
-
-def _x_prev(pair, x_values, k):
-    if pair.is_tree:
-        return x_values[k - 1]
-    return x_values[:, k - 1]
-
-
-def _f_at_children(pair, model, x_prev, k, t):
-    if pair.is_tree:
-        f = evaluate_f(pair.spec, t, x_prev, model.pred_one_minus_z[k - 1])
-        return np.stack([pair.carrier.lift(row) for row in f])
-    return evaluate_f(pair.spec, t, x_prev, model.pred_one_minus_z[:, k - 1])
-
 
 def check_pair_conditions(pair, model, x_values, x_prime_values=None, window=None, tiny=1e-12):
     """Pointwise admissibility report for a solution (and optional partner).
@@ -656,23 +586,21 @@ def check_pair_conditions(pair, model, x_values, x_prime_values=None, window=Non
     records whether the two forms agree.  Violations are counted below
     -1e-12 slack; the function reports and never raises.
     """
-    grid = pair.carrier.grid
+    carrier = pair.carrier
+    grid = carrier.grid
     lo, hi = window if window is not None else (1, grid.steps)
     slack_i, slack_ii, slack_iii = [], [], []
     strict_ii = True
     agree = True
     for k in range(lo, hi + 1):
         t = grid.times[k]
-        if pair.is_tree:
-            dm = model.tilde_m_increments[k - 1]
-            ps = pair.carrier.lift(model.pred_one_minus_z[k - 1])
-        else:
-            dm = model.tilde_m_increments[:, k - 1]
-            ps = model.pred_one_minus_z[:, k - 1]
+        dm = carrier.at(model.tilde_m_increments, k - 1)
+        ps_prev = carrier.at(model.pred_one_minus_z, k - 1)
+        ps = carrier.lift(ps_prev)
         dy = pair.y_step(k)
-        x_prev = _x_prev(pair, x_values, k)
-        x_child = pair.carrier.lift(x_prev) if pair.is_tree else x_prev
-        fdy = _dot_components(_f_at_children(pair, model, x_prev, k, t), dy)
+        x_prev = carrier.at(x_values, k - 1)
+        x_child = carrier.lift(x_prev)
+        fdy = _dot_components(carrier.lift(evaluate_f(pair.spec, t, x_prev, ps_prev)), dy)
         denom = ps - x_child
         ok = np.abs(denom) > tiny
         if np.any(ok):
@@ -683,9 +611,9 @@ def check_pair_conditions(pair, model, x_values, x_prime_values=None, window=Non
             slack_ii.append(s)
             strict_ii = strict_ii and bool(np.all(s > 0.0))
         if x_prime_values is not None:
-            xp_prev = _x_prev(pair, x_prime_values, k)
-            xp_child = pair.carrier.lift(xp_prev) if pair.is_tree else xp_prev
-            fpdy = _dot_components(_f_at_children(pair, model, xp_prev, k, t), dy)
+            xp_prev = carrier.at(x_prime_values, k - 1)
+            xp_child = carrier.lift(xp_prev)
+            fpdy = _dot_components(carrier.lift(evaluate_f(pair.spec, t, xp_prev, ps_prev)), dy)
             denom = x_child - xp_child
             ok = np.abs(denom) > tiny
             if np.any(ok):

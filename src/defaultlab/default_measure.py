@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .calculus import step_bracket
 from .coefficients import CoefficientSpec, ComponentSpec, PlateauSpec, build_y, evaluate_f, evaluate_f_x
 from .errors import ConfigurationError, GridMismatchError, InvalidFamilyError
-from .family import _one_step, solve_natural
+from .family import _lift_to, _one_step, solve_natural
 from .grids import TimeGrid, sample_bundle, three_branch_model
 from .survival import ZGeneratorConfig, generate_z
 from .tree import ScenarioTree
@@ -74,7 +75,7 @@ class DefaultSamples:
 
 def sample_tau(family, model, rng) -> DefaultSamples:
     """Invert the terminal CDF u -> M^u_N with one uniform per path."""
-    if family.is_tree:
+    if isinstance(family.carrier, ScenarioTree):
         raise ConfigurationError("sampling works on path bundles; trees enumerate")
     us = list(family.u_indices)
     cdf = np.stack([family.terminal(u) for u in us])  # (n_u, paths)
@@ -101,34 +102,34 @@ def p_kernel(spec, family, k: int, v: int, atom_tol: float = 1e-12):
         raise ConfigurationError(f"v = {v} not in the family grid")
     if k <= v:
         raise ConfigurationError("kernel needs k > v")
-    model = family.model
-    t = family.carrier.grid.times[k]
+    carrier = family.carrier
+    t = carrier.grid.times[k]
     pos = us.index(v)
-    if family.is_tree:
-        b = family.values(v)[k - 1]
-        a = family.values(us[pos - 1])[k - 1] if pos > 0 else np.zeros_like(b)
-        ps = model.pred_one_minus_z[k - 1]
-    else:
-        b = family.values(v)[:, k - 1]
-        a = family.values(us[pos - 1])[:, k - 1] if pos > 0 else np.zeros_like(b)
-        ps = model.pred_one_minus_z[:, k - 1]
+    b = carrier.at(family.values(v), k - 1)
+    a = carrier.at(family.values(us[pos - 1]), k - 1) if pos > 0 else np.zeros_like(b)
+    ps = carrier.at(family.model.pred_one_minus_z, k - 1)
+    return _kernel(spec, t, b, a, ps, atom_tol)
+
+
+def _kernel(spec, t, b, a, ps, atom_tol):
+    """(f(t, b) - f(t, a)) / (b - a) where b - a > atom_tol, else df/dx(t, b)."""
     gap = b - a
     quot_mask = gap > atom_tol
     denom = np.where(quot_mask, gap, 1.0)
     quot = (evaluate_f(spec, t, b, ps) - evaluate_f(spec, t, a, ps)) / denom
-    deriv = evaluate_f_x(spec, t, b, ps)
-    return np.where(quot_mask, quot, deriv)
+    return np.where(quot_mask, quot, evaluate_f_x(spec, t, b, ps))
 
 
 @dataclass
 class TestMartingale:
     """Driver-linear test process dX_k = sum_d coeff_d,k dW_d,k, X_0 = x0.
 
-    Coefficients are predictable: on a tree ``coeffs[d]`` is a per-step
-    list of parent-level arrays (or scalars); on a bundle a (paths, steps)
-    array or anything broadcastable to it.  Only drivers registered in the
-    carrier's increment model are allowed, which keeps every bracket
-    closed form.
+    Coefficients are predictable step objects of the carrier: on a tree
+    ``coeffs[d]`` is a per-step list of parent-level arrays (or scalars); on
+    a bundle a (paths, steps) array or anything with a trailing steps axis
+    that broadcasts to it.  A length-``steps`` array of per-step constants
+    works on either carrier.  Only drivers registered in the carrier's
+    increment model are allowed, which keeps every bracket closed form.
     """
 
     __test__ = False  # not a pytest class
@@ -142,56 +143,48 @@ class TestMartingale:
         for drv in self.coeffs:
             self.carrier.model.block_of(drv)  # raises UnsupportedProcessError
 
-    @property
-    def is_tree(self) -> bool:
-        return isinstance(self.carrier, ScenarioTree)
-
     def coeff_at(self, drv: str, k: int):
-        c = self.coeffs[drv]
-        if self.is_tree:
-            ck = c[k - 1]
-            size = self.carrier.n_nodes(k - 1)
-            return np.broadcast_to(np.asarray(ck, dtype=float), (size,))
-        return np.asarray(c)[..., k - 1]
+        """Step-k coefficient of one driver on the parent level."""
+        ck = self.carrier.at(self.coeffs[drv], k - 1)
+        return np.broadcast_to(np.asarray(ck, dtype=float), (self.carrier.n_nodes(k - 1),))
+
+    def step_coeffs(self, k: int) -> dict:
+        return {drv: self.coeff_at(drv, k) for drv in self.coeffs}
 
     def step_increments(self, k: int):
         """Realized dX_k on the child level (tree) or per path (bundle)."""
-        if self.is_tree:
-            out = 0.0
-            for drv in self.coeffs:
-                out = out + self.carrier.lift(self.coeff_at(drv, k)) * (
-                    self.carrier.driver_increments(drv, k)
-                )
-            return out
         out = 0.0
         for drv in self.coeffs:
-            out = out + self.coeff_at(drv, k) * self.carrier.driver_increments(drv)[:, k - 1]
+            out = out + self.carrier.lift(self.coeff_at(drv, k)) * (
+                self.carrier.driver_increments(drv, k)
+            )
         return out
 
-    def increments(self) -> np.ndarray:
-        """(paths, steps) increments; bundles only."""
-        if self.is_tree:
-            raise ConfigurationError("per-path increments need a bundle")
+    def increments(self):
+        """Realized increments as a carrier step object."""
         n = self.carrier.grid.steps
-        return np.stack([self.step_increments(k) for k in range(1, n + 1)], axis=1)
+        out = self.carrier.alloc(n)
+        for k in range(1, n + 1):
+            self.carrier.put(out, k - 1, self.step_increments(k))
+        return out
 
-    def values(self) -> np.ndarray:
+    def values(self):
+        """X as a carrier level object, x0 added to the running sum."""
+        carrier = self.carrier
+        n = carrier.grid.steps
         inc = self.increments()
-        out = np.empty((inc.shape[0], inc.shape[1] + 1))
-        out[:, 0] = self.x0
-        np.cumsum(inc, axis=1, out=out[:, 1:])
-        out[:, 1:] += out[:, [0]]
+        out = carrier.alloc(n + 1)
+        run = np.zeros(carrier.n_nodes(0))
+        carrier.put(out, 0, run + self.x0)
+        for k in range(1, n + 1):
+            run = carrier.lift(run) + carrier.at(inc, k - 1)
+            carrier.put(out, k, run + self.x0)
         return out
 
 
 def driver_martingale(carrier, driver: str, name=None, x0: float = 0.0) -> TestMartingale:
     """X with unit coefficient on one driver."""
-    n = carrier.grid.steps
-    if isinstance(carrier, ScenarioTree):
-        coeff = [1.0] * n
-    else:
-        coeff = np.ones((carrier.n_paths, n))
-    return TestMartingale(carrier, name or driver, x0, {driver: coeff})
+    return TestMartingale(carrier, name or driver, x0, {driver: np.ones(carrier.grid.steps)})
 
 
 def sign_modulated_martingale(carrier, driver: str, mod: str, name=None) -> TestMartingale:
@@ -201,67 +194,40 @@ def sign_modulated_martingale(carrier, driver: str, mod: str, name=None) -> Test
     bounded, giving a second test martingale correlated with the history.
     """
     n = carrier.grid.steps
-    if isinstance(carrier, ScenarioTree):
-        coeff = [np.ones(1)]
-        for k in range(2, n + 1):
-            prev = carrier.driver_increments(mod, k - 1)
-            coeff.append(np.sign(prev) + (prev == 0.0))
-    else:
-        inc = carrier.driver_increments(mod)
-        coeff = np.ones((carrier.n_paths, n))
-        coeff[:, 1:] = np.sign(inc[:, :-1]) + (inc[:, :-1] == 0.0)
+    coeff = carrier.alloc(n)
+    carrier.put(coeff, 0, np.ones(carrier.n_nodes(0)))
+    for k in range(2, n + 1):
+        prev = carrier.driver_increments(mod, k - 1)
+        carrier.put(coeff, k - 1, np.sign(prev) + (prev == 0.0))
     return TestMartingale(carrier, name or f"sign({mod}){driver}", 0.0, {driver: coeff})
 
 
 def _bracket_tilde_m(pair, model, mart, k):
     """d<m, X>_k as a predictable parent-level/path array."""
-    imodel = pair.carrier.model
-    out = 0.0
-    for d, cm in model.tilde_m_coeffs.items():
-        cmk = cm[k - 1] if pair.is_tree else cm[:, k - 1]
-        for e in mart.coeffs:
-            cov = imodel.cov(d, e)
-            if cov != 0.0:
-                out = out + cmk * mart.coeff_at(e, k) * cov
-    return out if np.ndim(out) else np.zeros(_parent_size(pair, k))
+    carrier = pair.carrier
+    cm = {d: carrier.at(c, k - 1) for d, c in model.tilde_m_coeffs.items()}
+    return step_bracket(carrier, k, cm, mart.step_coeffs(k))
 
 
 def _bracket_y(pair, mart, k):
     """d<Y, X>_k, shape (m, parents) or (m, paths)."""
-    imodel = pair.carrier.model
-    rows = []
-    for j in range(pair.m):
-        acc = 0.0
-        for d, yc in pair.y_coeffs.items():
-            yck = yc[k - 1][j] if pair.is_tree else yc[j, :, k - 1]
-            for e in mart.coeffs:
-                cov = imodel.cov(d, e)
-                if cov != 0.0:
-                    acc = acc + yck * mart.coeff_at(e, k) * cov
-        rows.append(acc if np.ndim(acc) else np.zeros(_parent_size(pair, k)))
-    return np.stack(rows)
-
-
-def _parent_size(pair, k):
-    if pair.is_tree:
-        return pair.carrier.n_nodes(k - 1)
-    return pair.carrier.n_paths
+    carrier = pair.carrier
+    yc = {d: carrier.at(c, k - 1) for d, c in pair.y_coeffs.items()}
+    xc = mart.step_coeffs(k)
+    return np.stack(
+        [step_bracket(carrier, k, {d: c[j] for d, c in yc.items()}, xc) for j in range(pair.m)]
+    )
 
 
 def _step_brackets(pair, model, mart, k):
     """All predictable step-k quantities of the compensator formula."""
-    grid = pair.carrier.grid
-    if pair.is_tree:
-        s_prev = model.s[k - 1]
-        ps = model.pred_one_minus_z[k - 1]
-        da = model.a_increments[k - 1]
-    else:
-        s_prev = model.s[:, k - 1]
-        ps = model.pred_one_minus_z[:, k - 1]
-        da = model.a_increments[:, k - 1]
+    carrier = pair.carrier
+    s_prev = carrier.at(model.s, k - 1)
+    ps = carrier.at(model.pred_one_minus_z, k - 1)
+    da = carrier.at(model.a_increments, k - 1)
     bmx = _bracket_tilde_m(pair, model, mart, k)
     byx = _bracket_y(pair, mart, k)
-    g = pair.spec.g_value(grid.times[k], s_prev)
+    g = pair.spec.g_value(carrier.grid.times[k], s_prev)
     gbyx = 0.0
     for j in range(pair.m):
         gbyx = gbyx + g[j] * byx[j]
@@ -349,13 +315,12 @@ def _default_functionals(bundle, model, mart, samples, anchors):
     tau_u = samples.tau_u()
     funcs = []
     x_vals = mart.values()
-    d_diff = bundle.driver_increments("diff")
     for s in anchors:
         alive = (samples.beyond | (tau_u >= s + 1)).astype(float)
         funcs.append((f"one@{s}", s, np.ones(bundle.n_paths)))
         funcs.append((f"alive@{s}", s, alive))
         funcs.append((f"sign_x@{s}", s, np.sign(x_vals[:, s]) + (x_vals[:, s] == 0.0)))
-        funcs.append((f"sign_diff@{s}", s, np.sign(d_diff[:, s - 1])))
+        funcs.append((f"sign_diff@{s}", s, np.sign(bundle.driver_increments("diff", s))))
         funcs.append((f"surv@{s}", s, model.s[:, s]))
         for j in (s // 2, s):
             dead = ((~samples.beyond) & (tau_u <= j)).astype(float)
@@ -393,16 +358,7 @@ def _enlargement_mc(pair, model, family, mart, samples, tol, functionals, atom_t
     for k in range(1, n + 1):
         br = _step_brackets(pair, model, mart, k)
         ps = model.pred_one_minus_z[:, k - 1]
-        t = grid.times[k]
-        b, a = state[0], state[1]
-        gap = b - a
-        quot_mask = gap > atom_tol
-        denom = np.where(quot_mask, gap, 1.0)
-        kern = np.where(
-            quot_mask,
-            (evaluate_f(spec, t, b, ps) - evaluate_f(spec, t, a, ps)) / denom,
-            evaluate_f_x(spec, t, b, ps),
-        )
+        kern = _kernel(spec, grid.times[k], state[0], state[1], ps, atom_tol)
         kby = 0.0
         for j in range(pair.m):
             kby = kby + kern[j] * br["byx"][j]
@@ -467,7 +423,7 @@ def enlargement_compensator(
     bundles it is statistical: sampled defaults plus a battery of bounded
     functionals, each within three standard errors.
     """
-    if pair.is_tree:
+    if isinstance(pair.carrier, ScenarioTree):
         return _enlargement_tree(pair, model, family, mart, tol, atom_tol)
     if samples is None:
         raise ConfigurationError("bundle enlargement check needs sampled defaults")
@@ -484,21 +440,16 @@ def absolute_continuity_check(family, model, t: int, tol: float = 1e-12) -> dict
     us = [u for u in family.u_indices if u <= t]
     if len(us) < 2:
         raise ConfigurationError("need at least two family grid points below t")
+    carrier = family.carrier
     a = model.a
     ratio_min, ratio_max = np.inf, -np.inf
     zero_mass_max = 0.0
     zero_cells = 0
     cells = 0
     for lo, hi in zip(us[:-1], us[1:]):
-        if family.is_tree:
-            tree = family.carrier
-            num = family.values(hi)[t] - family.values(lo)[t]
-            den = np.repeat(a[hi], tree.branching ** (t - hi)) - np.repeat(
-                a[lo], tree.branching ** (t - lo)
-            )
-        else:
-            num = family.values(hi)[:, t] - family.values(lo)[:, t]
-            den = a[:, hi] - a[:, lo]
+        num = carrier.at(family.values(hi), t) - carrier.at(family.values(lo), t)
+        a_hi = _lift_to(carrier, carrier.at(a, hi), hi, t)
+        den = a_hi - _lift_to(carrier, carrier.at(a, lo), lo, t)
         cells += 1
         mass = den > 0.0
         if np.any(mass):
@@ -537,14 +488,16 @@ def polarization_experiment(
     the logistic-drift martingale x (pS - x) dY.  For each horizon T the
     report holds the histogram of M^u_T over (u, path) for a fixed set of
     early u values and the fraction of mass inside [eta, 1 - eta]; the
-    family polarizes toward {0, 1} as T grows.
+    family polarizes toward {0, 1} as T grows.  ``terminal_bound_violation``
+    holds, per horizon, the largest breach of the pathwise bounds
+    0 <= M^u_T <= 1 - Z_T over every (u, path); it is 0.0 on a valid family.
     """
     if u_times is None:
         u_times = tuple(np.arange(0.0, 5.0, 0.5))
     comp = ComponentSpec(plateaus=(PlateauSpec(-0.5, 1.5, 0.5, 1.0),))
     spec = CoefficientSpec(components=(comp,))
     edges = np.linspace(0.0, 1.0, n_bins + 1)
-    fractions, hists, norm_resid = [], [], []
+    fractions, hists, bound_viol = [], [], []
     for t_mult in t_values:
         steps = int(round(t_mult / dt))
         grid = TimeGrid(horizon=float(t_mult), steps=steps)
@@ -562,8 +515,8 @@ def polarization_experiment(
         fractions.append(inside)
         counts, _ = np.histogram(vals, bins=edges)
         hists.append(counts / vals.size)
-        s_term = model.s[:, -1]
-        norm_resid.append(float(np.max(np.abs(s_term + (1.0 - s_term) - 1.0))))
+        above = vals - np.tile(model.s[:, -1], len(u_idx))
+        bound_viol.append(max(0.0, float(np.max(-vals)), float(np.max(above))))
     dec = all(b < a for a, b in zip(fractions[:-1], fractions[1:]))
     return {
         "t_values": [float(t) for t in t_values],
@@ -576,5 +529,5 @@ def polarization_experiment(
         "monotone_decreasing": dec,
         "bin_edges": edges.tolist(),
         "histograms": [h.tolist() for h in hists],
-        "normalization_residual": norm_resid,
+        "terminal_bound_violation": bound_viol,
     }

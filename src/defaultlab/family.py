@@ -30,7 +30,7 @@ import numpy as np
 
 from .coefficients import evaluate_f, evaluate_f_x, _dot_components
 from .errors import ConfigurationError, GridMismatchError, SolverInconsistencyError
-from .tree import verify_im_axioms
+from .tree import ScenarioTree, verify_im_axioms
 
 __all__ = [
     "MartingaleFamily",
@@ -55,22 +55,12 @@ def _start_level(pair, x, size):
 
 def _one_step(pair, model, k: int, x_prev):
     """Map the state at k-1 to the state at k (child/path layout)."""
-    grid = pair.carrier.grid
-    if pair.is_tree:
-        ps = model.pred_one_minus_z[k - 1]
-        f = evaluate_f(pair.spec, grid.times[k], x_prev, ps)
-        xc = pair.carrier.lift(x_prev)
-        dm = model.tilde_m_increments[k - 1]
-        fdy = _dot_components(
-            [pair.carrier.lift(row) for row in f], [row for row in pair.y_step(k)]
-        )
-    else:
-        ps = model.pred_one_minus_z[:, k - 1]
-        f = evaluate_f(pair.spec, grid.times[k], x_prev, ps)
-        xc = x_prev
-        dm = model.tilde_m_increments[:, k - 1]
-        fdy = _dot_components([row for row in f], [row for row in pair.y_step(k)])
-    return (xc + xc * dm) + fdy
+    carrier = pair.carrier
+    ps = carrier.at(model.pred_one_minus_z, k - 1)
+    f = evaluate_f(pair.spec, carrier.grid.times[k], x_prev, ps)
+    xc = carrier.lift(x_prev)
+    dm = carrier.at(model.tilde_m_increments, k - 1)
+    return (xc + xc * dm) + _dot_components(carrier.lift(f), pair.y_step(k))
 
 
 def solve_natural(pair, model, u: int, x):
@@ -84,15 +74,10 @@ def solve_natural(pair, model, u: int, x):
     n = carrier.grid.steps
     if not 0 <= u <= n:
         raise ConfigurationError(f"start index {u} outside grid")
-    if pair.is_tree:
-        levels = [None] * u + [_start_level(pair, x, carrier.n_nodes(u))]
-        for k in range(u + 1, n + 1):
-            levels.append(_one_step(pair, model, k, levels[-1]))
-        return levels
-    out = np.full((carrier.n_paths, n + 1), np.nan)
-    out[:, u] = _start_level(pair, x, carrier.n_paths)
+    out = carrier.alloc(n + 1)
+    carrier.put(out, u, _start_level(pair, x, carrier.n_nodes(u)))
     for k in range(u + 1, n + 1):
-        out[:, k] = _one_step(pair, model, k, out[:, k - 1])
+        carrier.put(out, k, _one_step(pair, model, k, carrier.at(out, k - 1)))
     return out
 
 
@@ -120,10 +105,6 @@ class MartingaleFamily:
         return self.pair.carrier
 
     @property
-    def is_tree(self) -> bool:
-        return self.pair.is_tree
-
-    @property
     def one_minus_z(self):
         return self.model.s
 
@@ -135,66 +116,30 @@ class MartingaleFamily:
     def terminal(self, u: int):
         if self.storage == "terminal":
             return self.terminal_by_u[u]
-        vals = self.values_by_u[u]
-        if self.is_tree:
-            return vals[-1]
-        return vals[:, -1]
+        return self.carrier.at(self.values_by_u[u], self.carrier.grid.steps)
 
     def terminal_infinity(self):
         return np.ones_like(np.asarray(self.terminal(self.u_indices[-1])))
 
 
-def _verify_family_bundle(family, tol):
-    model = family.model
-    s = model.s
-    n = model.grid.steps
-    checks = []
+class _PathwiseFamilyCheck:
+    """Pathwise bundle invariants, folded in member by member as solved.
 
-    def record(name, violation):
-        checks.append(
-            {"name": name, "max_violation": float(violation), "pass": bool(violation <= tol)}
-        )
+    Only the previous member stays referenced, so the check costs one extra
+    solution whatever the storage mode.  The martingale property is not
+    checked pathwise; the Monte Carlo suites test it statistically.
+    """
 
-    worst_start = 0.0
-    worst_low = 0.0
-    worst_high = 0.0
-    for u in family.u_indices:
-        vals = family.values(u)
-        worst_start = max(worst_start, float(np.max(np.abs(vals[:, u] - s[:, u]))))
-        window = vals[:, u:]
-        worst_low = max(worst_low, float(np.max(-window)))
-        worst_high = max(worst_high, float(np.max(window - s[:, u:])))
-    record("starts_at_one_minus_z", worst_start)
-    record("nonnegative", worst_low)
-    record("bounded_by_one_minus_z", worst_high)
+    def __init__(self, model):
+        self.s = model.s
+        self.n = model.grid.steps
+        names = ("starts_at_one_minus_z", "nonnegative", "bounded_by_one_minus_z")
+        self.worst = dict.fromkeys(names + ("nondecreasing_in_u",), 0.0)
+        self.prev = None
+        self.normalization = None
 
-    worst_mono = 0.0
-    us = family.u_indices
-    for lo, hi in zip(us[:-1], us[1:]):
-        diff = family.values(lo)[:, hi:] - family.values(hi)[:, hi:]
-        worst_mono = max(worst_mono, float(np.max(diff)))
-    record("nondecreasing_in_u", worst_mono)
-
-    if us[-1] == n:
-        z_term = 1.0 - s[:, n]
-        record(
-            "terminal_normalization",
-            float(np.max(np.abs(family.values(us[-1])[:, n] + z_term - 1.0))),
-        )
-    return {"checks": checks, "pass": all(c["pass"] for c in checks)}
-
-
-def _build_family_terminal(pair, model, u_indices, tol):
-    """Bundle family keeping only terminal slices; checks still run on the
-    full transient solution per u, so nothing is weakened by the storage."""
-    s = model.s
-    n = model.grid.steps
-    worst = {"starts_at_one_minus_z": 0.0, "nonnegative": 0.0,
-             "bounded_by_one_minus_z": 0.0, "nondecreasing_in_u": 0.0}
-    terminal = {}
-    prev_sol = None
-    for u in u_indices:
-        sol = solve_natural(pair, model, u, s[:, u])
+    def add(self, u, sol):
+        s, worst = self.s, self.worst
         worst["starts_at_one_minus_z"] = max(
             worst["starts_at_one_minus_z"], float(np.max(np.abs(sol[:, u] - s[:, u])))
         )
@@ -203,30 +148,22 @@ def _build_family_terminal(pair, model, u_indices, tol):
         worst["bounded_by_one_minus_z"] = max(
             worst["bounded_by_one_minus_z"], float(np.max(window - s[:, u:]))
         )
-        if prev_sol is not None:
+        if self.prev is not None:
             worst["nondecreasing_in_u"] = max(
-                worst["nondecreasing_in_u"], float(np.max(prev_sol[:, u:] - sol[:, u:]))
+                worst["nondecreasing_in_u"], float(np.max(self.prev[:, u:] - sol[:, u:]))
             )
-        terminal[u] = sol[:, -1].copy()
-        prev_sol = sol
-    checks = [
-        {"name": name, "max_violation": val, "pass": val <= tol} for name, val in worst.items()
-    ]
-    if u_indices and u_indices[-1] == n:
-        resid = float(np.max(np.abs(terminal[n] + (1.0 - s[:, n]) - 1.0)))
-        checks.append(
-            {"name": "terminal_normalization", "max_violation": resid, "pass": resid <= tol}
-        )
-    report = {"checks": checks, "pass": all(c["pass"] for c in checks)}
-    return MartingaleFamily(
-        pair=pair,
-        model=model,
-        u_indices=u_indices,
-        values_by_u={},
-        report=report,
-        storage="terminal",
-        terminal_by_u=terminal,
-    )
+        if u == self.n:
+            self.normalization = float(np.max(np.abs(sol[:, u] + (1.0 - s[:, u]) - 1.0)))
+        self.prev = sol
+
+    def report(self, tol):
+        worst = dict(self.worst)
+        if self.normalization is not None:
+            worst["terminal_normalization"] = self.normalization
+        checks = [
+            {"name": name, "max_violation": val, "pass": val <= tol} for name, val in worst.items()
+        ]
+        return {"checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
 def build_family(pair, model, u_indices=None, tol: float = 1e-12, keep: str = "full") -> MartingaleFamily:
@@ -236,13 +173,15 @@ def build_family(pair, model, u_indices=None, tol: float = 1e-12, keep: str = "f
     property through the enumeration oracle) runs and any violation beyond
     `tol` raises; on bundles the pathwise invariants (start value, bounds,
     monotonicity in u, terminal normalization) are hard assertions at the
-    same tolerance, while martingale-property checks are statistical and
-    live in the Monte Carlo suites.  ``u_indices`` defaults to the whole
-    grid.  ``keep="terminal"`` (bundles only) stores just the terminal
-    slice per u to bound memory on wide bundles; every invariant is still
-    checked on the full solution before it is dropped.
+    same tolerance, checked on each member as it is solved, while
+    martingale-property checks are statistical and live in the Monte Carlo
+    suites.  ``u_indices`` defaults to the whole grid.  ``keep="terminal"``
+    (bundles only) stores just the terminal slice per u to bound memory on
+    wide bundles; every invariant is still checked on the full solution
+    before it is dropped.
     """
-    n = pair.carrier.grid.steps
+    carrier = pair.carrier
+    n = carrier.grid.steps
     if u_indices is None:
         u_indices = list(range(n + 1))
     u_indices = sorted(int(u) for u in u_indices)
@@ -250,23 +189,28 @@ def build_family(pair, model, u_indices=None, tol: float = 1e-12, keep: str = "f
         raise ConfigurationError("u indices outside the grid")
     if keep not in ("full", "terminal"):
         raise ConfigurationError(f"unknown storage mode {keep!r}")
-    if keep == "terminal" and pair.is_tree:
+    exact = isinstance(carrier, ScenarioTree)
+    if keep == "terminal" and exact:
         raise ConfigurationError("terminal storage is a bundle option")
-    if keep == "terminal":
-        family = _build_family_terminal(pair, model, u_indices, tol)
-    else:
-        s = model.s
-        values = {}
-        for u in u_indices:
-            start = s[u] if pair.is_tree else s[:, u]
-            values[u] = solve_natural(pair, model, u, start)
-        family = MartingaleFamily(
-            pair=pair, model=model, u_indices=u_indices, values_by_u=values
-        )
-        if pair.is_tree:
-            family.report = verify_im_axioms(pair.carrier, family, tol=tol)
+    pathwise = None if exact else _PathwiseFamilyCheck(model)
+    values, terminal = {}, {}
+    for u in u_indices:
+        sol = solve_natural(pair, model, u, carrier.at(model.s, u))
+        if pathwise is not None:
+            pathwise.add(u, sol)
+        if keep == "full":
+            values[u] = sol
         else:
-            family.report = _verify_family_bundle(family, tol)
+            terminal[u] = carrier.at(sol, n).copy()
+    family = MartingaleFamily(
+        pair=pair,
+        model=model,
+        u_indices=u_indices,
+        values_by_u=values,
+        storage=keep,
+        terminal_by_u=terminal,
+    )
+    family.report = verify_im_axioms(carrier, family, tol=tol) if exact else pathwise.report(tol)
     if not family.report["pass"]:
         worst = max(c["max_violation"] for c in family.report["checks"])
         raise SolverInconsistencyError(
@@ -287,14 +231,10 @@ class Flow:
     deriv: object
 
     def at(self, k: int):
-        if self.pair.is_tree:
-            return self.values[k]
-        return self.values[:, k]
+        return self.pair.carrier.at(self.values, k)
 
     def deriv_at(self, k: int):
-        if self.pair.is_tree:
-            return self.deriv[k]
-        return self.deriv[:, k]
+        return self.pair.carrier.at(self.deriv, k)
 
 
 def flow_solve(pair, model, u: int, x) -> Flow:
@@ -309,32 +249,17 @@ def flow_solve(pair, model, u: int, x) -> Flow:
     n = grid.steps
     if not 0 <= u <= n:
         raise ConfigurationError(f"start index {u} outside grid")
-    spec = pair.spec
-    if pair.is_tree:
-        levels = [None] * u + [_start_level(pair, x, carrier.n_nodes(u))]
-        deriv = [None] * u + [np.ones(carrier.n_nodes(u))]
-        for k in range(u + 1, n + 1):
-            x_prev = levels[-1]
-            fx = evaluate_f_x(spec, grid.times[k], x_prev, model.pred_one_minus_z[k - 1])
-            fxdy = _dot_components(
-                [carrier.lift(row) for row in fx], [row for row in pair.y_step(k)]
-            )
-            dm = model.tilde_m_increments[k - 1]
-            levels.append(_one_step(pair, model, k, x_prev))
-            deriv.append(carrier.lift(deriv[-1]) * ((1.0 + dm) + fxdy))
-        return Flow(pair=pair, model=model, u=u, x0=x, values=levels, deriv=deriv)
-    p = carrier.n_paths
-    vals = np.full((p, n + 1), np.nan)
-    der = np.full((p, n + 1), np.nan)
-    vals[:, u] = _start_level(pair, x, p)
-    der[:, u] = 1.0
+    vals, der = carrier.alloc(n + 1), carrier.alloc(n + 1)
+    carrier.put(vals, u, _start_level(pair, x, carrier.n_nodes(u)))
+    carrier.put(der, u, np.ones(carrier.n_nodes(u)))
     for k in range(u + 1, n + 1):
-        x_prev = vals[:, k - 1]
-        fx = evaluate_f_x(spec, grid.times[k], x_prev, model.pred_one_minus_z[:, k - 1])
-        fxdy = _dot_components([row for row in fx], [row for row in pair.y_step(k)])
-        dm = model.tilde_m_increments[:, k - 1]
-        vals[:, k] = _one_step(pair, model, k, x_prev)
-        der[:, k] = der[:, k - 1] * ((1.0 + dm) + fxdy)
+        x_prev = carrier.at(vals, k - 1)
+        ps = carrier.at(model.pred_one_minus_z, k - 1)
+        fx = evaluate_f_x(pair.spec, grid.times[k], x_prev, ps)
+        fxdy = _dot_components(carrier.lift(fx), pair.y_step(k))
+        dm = carrier.at(model.tilde_m_increments, k - 1)
+        carrier.put(vals, k, _one_step(pair, model, k, x_prev))
+        carrier.put(der, k, carrier.lift(carrier.at(der, k - 1)) * ((1.0 + dm) + fxdy))
     return Flow(pair=pair, model=model, u=u, x0=x, values=vals, deriv=der)
 
 
@@ -344,21 +269,12 @@ def kappa_values(pair, model, k: int):
     kappa_k = (1 + dm_k) - (1 - Z_{k-1}) * g(t_k, 1 - Z_{k-1})' dY_k; the
     strict-pair margins keep these strictly positive.
     """
-    grid = pair.carrier.grid
-    spec = pair.spec
-    if pair.is_tree:
-        s_prev = model.s[k - 1]
-        g = spec.g_value(grid.times[k], s_prev)
-        dm = model.tilde_m_increments[k - 1]
-        gdy = _dot_components(
-            [pair.carrier.lift(row) for row in g], [row for row in pair.y_step(k)]
-        )
-        return (1.0 + dm) - pair.carrier.lift(s_prev) * gdy
-    s_prev = model.s[:, k - 1]
-    g = spec.g_value(grid.times[k], s_prev)
-    dm = model.tilde_m_increments[:, k - 1]
-    gdy = _dot_components([row for row in g], [row for row in pair.y_step(k)])
-    return (1.0 + dm) - s_prev * gdy
+    carrier = pair.carrier
+    s_prev = carrier.at(model.s, k - 1)
+    g = pair.spec.g_value(carrier.grid.times[k], s_prev)
+    dm = carrier.at(model.tilde_m_increments, k - 1)
+    gdy = _dot_components(carrier.lift(g), pair.y_step(k))
+    return (1.0 + dm) - carrier.lift(s_prev) * gdy
 
 
 def one_step_atom_residuals(pair, model):
@@ -368,26 +284,24 @@ def one_step_atom_residuals(pair, model):
     sides vanish bitwise because the solver shares the survival generator's
     update grouping.
     """
-    n = pair.carrier.grid.steps
+    carrier = pair.carrier
+    n = carrier.grid.steps
     out = np.empty(n)
     for k in range(1, n + 1):
         kap = kappa_values(pair, model, k)
-        if pair.is_tree:
-            image = _one_step(pair, model, k, model.s[k - 1])
-            diff = model.s[k] - image
-            da = pair.carrier.lift(model.a_increments[k - 1])
-        else:
-            image = _one_step(pair, model, k, model.s[:, k - 1])
-            diff = model.s[:, k] - image
-            da = model.a_increments[:, k - 1]
+        image = _one_step(pair, model, k, carrier.at(model.s, k - 1))
+        diff = carrier.at(model.s, k) - image
+        da = carrier.lift(carrier.at(model.a_increments, k - 1))
         out[k - 1] = float(np.max(np.abs(diff - kap * da)))
     return out
 
 
-def _lift_to(tree, arr, from_level: int, to_level: int):
+def _lift_to(carrier, arr, from_level: int, to_level: int):
     if to_level < from_level:
         raise GridMismatchError("cannot lift downward")
-    return np.repeat(arr, tree.branching ** (to_level - from_level))
+    for _ in range(to_level - from_level):
+        arr = carrier.lift(arr)
+    return arr
 
 
 def family_regularity(pair, model, family, v: int, t: int) -> dict:
@@ -404,22 +318,18 @@ def family_regularity(pair, model, family, v: int, t: int) -> dict:
     suites.  Quotients need strictly positive compensator increments at
     steps v and v + 1.
     """
-    n = pair.carrier.grid.steps
+    carrier = pair.carrier
+    n = carrier.grid.steps
     if not 1 <= v < t <= n:
         raise ConfigurationError("need 1 <= v < t <= steps")
     for u in (v - 1, v, v + 1):
         if u not in family.values_by_u:
             raise ConfigurationError(f"family must contain u = {u}")
-    tree = pair.carrier if pair.is_tree else None
+    at = carrier.at
     kap = kappa_values(pair, model, v)
-    if pair.is_tree:
-        s_v = model.s[v]
-        da_v = _lift_to(tree, model.a_increments[v - 1], v - 1, v)
-        da_next = _lift_to(tree, model.a_increments[v], v, v + 1)
-    else:
-        s_v = model.s[:, v]
-        da_v = model.a_increments[:, v - 1]
-        da_next = model.a_increments[:, v]
+    s_v = at(model.s, v)
+    da_v = carrier.lift(at(model.a_increments, v - 1))
+    da_next = carrier.lift(at(model.a_increments, v))
     if np.min(da_v) <= 0.0 or np.min(da_next) <= 0.0:
         raise ConfigurationError("difference quotients need dA > 0 at v and v + 1")
     m_prev = family.values(v - 1)
@@ -431,19 +341,14 @@ def family_regularity(pair, model, family, v: int, t: int) -> dict:
 
     jump_resid = 0.0
     for k in range(v, t + 1):
-        lhs = (m_v[k] - m_prev[k]) if pair.is_tree else (m_v[:, k] - m_prev[:, k])
+        lhs = at(m_v, k) - at(m_prev, k)
         rhs = flow_hi.at(k) - flow_lo.at(k)
         jump_resid = max(jump_resid, float(np.max(np.abs(lhs - rhs))))
 
     d_t = flow_hi.deriv_at(t)
-    if pair.is_tree:
-        kap_t = _lift_to(tree, kap, v, t)
-        quot_left = (m_v[t] - m_prev[t]) / _lift_to(tree, da_v, v, t)
-        quot_right = (m_next[t] - m_v[t]) / _lift_to(tree, da_next, v + 1, t)
-    else:
-        kap_t = kap
-        quot_left = (m_v[:, t] - m_prev[:, t]) / da_v
-        quot_right = (m_next[:, t] - m_v[:, t]) / da_next
+    kap_t = _lift_to(carrier, kap, v, t)
+    quot_left = (at(m_v, t) - at(m_prev, t)) / _lift_to(carrier, da_v, v, t)
+    quot_right = (at(m_next, t) - at(m_v, t)) / _lift_to(carrier, da_next, v + 1, t)
     return {
         "v": v,
         "t": t,

@@ -9,6 +9,31 @@ Array conventions used across the package:
   ``(t_{k-1}, t_k]``.  Predictable step-``k`` quantities (known at
   ``t_{k-1}``) use the same layout.
 
+Those are the bundle layouts.  A `ScenarioTree` stores the same objects as
+lists instead: a level process is a list of ``N + 1`` per-level node arrays
+(level ``k`` has ``b**k`` nodes), a realized step-``k`` quantity is entry
+``k - 1`` holding child-level (level ``k``) values, and a predictable one is
+entry ``k - 1`` holding parent-level (level ``k - 1``) values.  Leading
+dimensions (components) come before the node axis in both layouts.
+
+Both carriers expose the same methods, so each construction step is written
+once against them:
+
+* ``at(obj, k)`` / ``put(obj, k, values)``: read or write entry ``k``;
+* ``alloc(length, *lead)``: an empty process of ``length`` entries (a list
+  of None on a tree, a NaN-filled ``(*lead, paths, length)`` matrix on a
+  bundle);
+* ``n_nodes(k)``: states at level ``k`` (``b**k`` nodes, or the path count);
+* ``lift(values)``: parent-level values onto the children (a bundle path is
+  its own child, so this is the identity there);
+* ``realize(branch_values, block, k)``: per-branch values, shape
+  ``(..., parents or 1, block branches)``, to realized step-``k`` values
+  (every child on a tree, each path's own branch on a bundle);
+* ``driver_increments(driver, k)``: realized step-``k`` unit increments;
+* ``recenter_children(values)``: exact zero conditional mean on a tree, the
+  identity on a bundle where a path realizes a single branch;
+* ``flat(obj)``: every stored value as one array.
+
 Driver increments are bounded, symmetric-ish multi-point draws whose
 conditional mean is exactly zero in floating point.  This is arranged by
 restricting branch probabilities to powers of two and recentring the last
@@ -32,7 +57,6 @@ __all__ = [
     "DriverBlock",
     "IncrementModel",
     "PathBundle",
-    "DriverLinear",
     "three_branch_model",
     "sample_bundle",
     "philox_stream",
@@ -251,13 +275,35 @@ class PathBundle:
         first = next(iter(self.branches.values()))
         return first.shape[0]
 
-    def branch_of(self, driver: str) -> np.ndarray:
-        blk = self.model.block_of(driver)
-        return self.branches[blk.name]
+    def n_nodes(self, k: int) -> int:
+        return self.n_paths
 
-    def driver_increments(self, driver: str) -> np.ndarray:
-        """(paths, steps) realized unit increments of one driver."""
-        return self.model.pattern(driver)[self.branch_of(driver)]
+    def at(self, obj, k: int):
+        return np.asarray(obj)[..., k]
+
+    def put(self, obj, k: int, values) -> None:
+        obj[..., k] = values
+
+    def alloc(self, length: int, *lead: int) -> np.ndarray:
+        return np.full(lead + (self.n_paths, length), np.nan)
+
+    def lift(self, values):
+        return values
+
+    def recenter_children(self, values):
+        return values
+
+    def realize(self, branch_values, block: DriverBlock, k: int) -> np.ndarray:
+        v = np.asarray(branch_values)
+        v = np.broadcast_to(v, v.shape[:-2] + (self.n_paths, v.shape[-1]))
+        return v[..., np.arange(self.n_paths), self.branches[block.name][:, k - 1]]
+
+    def driver_increments(self, driver: str, k: int) -> np.ndarray:
+        """(paths,) realized step-k unit increments of one driver."""
+        return self.realize(self.model.pattern(driver)[None, :], self.model.block_of(driver), k)
+
+    def flat(self, obj) -> np.ndarray:
+        return np.asarray(obj).ravel()
 
 
 def sample_bundle(grid: TimeGrid, model: IncrementModel, n_paths: int, seed: int) -> PathBundle:
@@ -271,38 +317,3 @@ def sample_bundle(grid: TimeGrid, model: IncrementModel, n_paths: int, seed: int
         u = gen.random((n_paths, grid.steps))
         branches[blk.name] = np.searchsorted(cum, u, side="right").astype(np.int8)
     return PathBundle(grid=grid, model=model, branches=branches)
-
-
-class DriverLinear:
-    """Process with per-step driver-linear increments.
-
-    ``X_k = x0 + sum_j sum_d coeff_d[:, j] * dD_d[:, j]`` where every
-    coefficient array is predictable (column ``j`` known at ``t_j``).  This
-    is the class of test processes whose predictable brackets are available
-    in closed form from the increment model.
-    """
-
-    def __init__(self, bundle: PathBundle, x0, coeffs: dict[str, np.ndarray]):
-        self.bundle = bundle
-        self.x0 = np.asarray(x0, dtype=float)
-        self.coeffs = {}
-        shape = (bundle.n_paths, bundle.grid.steps)
-        for drv, c in coeffs.items():
-            bundle.model.block_of(drv)  # raises on unknown driver
-            c = np.broadcast_to(np.asarray(c, dtype=float), shape)
-            self.coeffs[drv] = c
-
-    def increments(self) -> np.ndarray:
-        shape = (self.bundle.n_paths, self.bundle.grid.steps)
-        out = np.zeros(shape)
-        for drv, c in self.coeffs.items():
-            out += c * self.bundle.driver_increments(drv)
-        return out
-
-    def values(self) -> np.ndarray:
-        inc = self.increments()
-        out = np.empty((inc.shape[0], inc.shape[1] + 1))
-        out[:, 0] = self.x0
-        np.cumsum(inc, axis=1, out=out[:, 1:])
-        out[:, 1:] += out[:, [0]]
-        return out

@@ -621,7 +621,11 @@ def polarize_suite(
             rep["monotone_decreasing"],
             passed=rep["monotone_decreasing"],
         ),
-        _row("cdf_normalization_max", float(np.max(rep["normalization_residual"])), tol_exact),
+        _row(
+            "terminal_bounds_max_violation",
+            float(np.max(rep["terminal_bound_violation"])),
+            tol_exact,
+        ),
     ]
     hist_rows = []
     edges = rep["bin_edges"]

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundaryError, ConfigurationError, SolverInconsistencyError
-from .grids import PathBundle
-from .tree import ScenarioTree
+from .calculus import predictable_sum
 
 __all__ = ["ZGeneratorConfig", "SupermartingaleModel", "generate_z", "tilde_m_increments"]
 
@@ -92,35 +91,26 @@ class SupermartingaleModel:
     def grid(self):
         return self.carrier.grid
 
-    @property
-    def is_tree(self) -> bool:
-        return isinstance(self.carrier, ScenarioTree)
+    def _levelwise(self, fn, *procs):
+        carrier = self.carrier
+        out = carrier.alloc(self.grid.steps + 1)
+        for k in range(self.grid.steps + 1):
+            carrier.put(out, k, fn(*(carrier.at(p, k) for p in procs)))
+        return out
 
     @property
     def z(self):
-        if self.is_tree:
-            return [1.0 - lvl for lvl in self.s]
-        return 1.0 - self.s
+        return self._levelwise(lambda s: 1.0 - s, self.s)
 
     @property
     def a(self):
         """Cumulative compensator as a level object, A_0 = 0."""
-        if self.is_tree:
-            tree = self.carrier
-            levels = [np.zeros(1)]
-            for da in self.a_increments:
-                levels.append(tree.lift(levels[-1] + da))
-            return levels
-        out = np.zeros_like(self.s)
-        np.cumsum(self.a_increments, axis=-1, out=out[..., 1:])
-        return out
+        return predictable_sum(self.carrier, self.a_increments)
 
     @property
     def m(self):
         """Martingale part M = Z + A."""
-        if self.is_tree:
-            return [z + a for z, a in zip(self.z, self.a)]
-        return self.z + self.a
+        return self._levelwise(np.add, self.z, self.a)
 
 
 def _decay_factors(grid, config):
@@ -167,11 +157,31 @@ def generate_z(config: ZGeneratorConfig, carrier) -> SupermartingaleModel:
         raise ConfigurationError("combined branch volatility must stay below 1")
     _validate_envelope(config, grid, decay, float(w_branch.min()), float(w_branch.max()))
 
-    if isinstance(carrier, ScenarioTree):
-        return _generate_on_tree(config, carrier, decay, jump_index, a_w, b_w)
-    if isinstance(carrier, PathBundle):
-        return _generate_on_bundle(config, carrier, decay, jump_index, a_w, b_w)
-    raise ConfigurationError(f"unsupported carrier {type(carrier).__name__}")
+    n = grid.steps
+    s = carrier.alloc(n + 1)
+    carrier.put(s, 0, np.full(carrier.n_nodes(0), 1.0 - config.z0))
+    stores = ps_all, da_all, dm_all, c_diff, c_jump = [carrier.alloc(n) for _ in range(5)]
+    for k in range(1, n + 1):
+        c, ps, da = _dm_coefficient(carrier.at(s, k - 1), decay[k - 1])
+        w = a_w * carrier.driver_increments("diff", k)
+        w = w + b_w * carrier.driver_increments("jump", k)
+        dm = carrier.recenter_children(carrier.lift(c) * w)
+        ps_child = carrier.lift(ps)
+        carrier.put(s, k, ps_child + ps_child * dm)
+        for store, val in zip(stores, (ps, da, dm, c * a_w, c * b_w)):
+            carrier.put(store, k - 1, val)
+    _check_outputs(carrier.flat(dm_all), carrier.flat(s), config)
+    return SupermartingaleModel(
+        carrier=carrier,
+        config=config,
+        decay=decay,
+        jump_index=jump_index,
+        s=s,
+        pred_one_minus_z=ps_all,
+        a_increments=da_all,
+        tilde_m_increments=dm_all,
+        tilde_m_coeffs={"diff": c_diff, "jump": c_jump},
+    )
 
 
 def _dm_coefficient(s_prev, q):
@@ -181,74 +191,6 @@ def _dm_coefficient(s_prev, q):
     z_prev = 1.0 - s_prev
     ps = s_prev + z_prev * (1.0 - q)
     return -(z_prev * q * s_prev) / ps, ps, z_prev * (1.0 - q)
-
-
-def _generate_on_bundle(config, bundle, decay, jump_index, a_w, b_w):
-    n = bundle.grid.steps
-    p = bundle.n_paths
-    d_diff = bundle.driver_increments("diff")
-    d_jump = bundle.driver_increments("jump")
-    s = np.empty((p, n + 1))
-    s[:, 0] = 1.0 - config.z0
-    ps_arr = np.empty((p, n))
-    da_arr = np.empty((p, n))
-    dm_arr = np.empty((p, n))
-    c_arr = np.empty((p, n))
-    for k in range(1, n + 1):
-        c, ps, da = _dm_coefficient(s[:, k - 1], decay[k - 1])
-        dm = c * (a_w * d_diff[:, k - 1] + b_w * d_jump[:, k - 1])
-        s[:, k] = ps + ps * dm
-        ps_arr[:, k - 1] = ps
-        da_arr[:, k - 1] = da
-        dm_arr[:, k - 1] = dm
-        c_arr[:, k - 1] = c
-    _check_outputs(dm_arr, s, config)
-    return SupermartingaleModel(
-        carrier=bundle,
-        config=config,
-        decay=decay,
-        jump_index=jump_index,
-        s=s,
-        pred_one_minus_z=ps_arr,
-        a_increments=da_arr,
-        tilde_m_increments=dm_arr,
-        tilde_m_coeffs={"diff": c_arr * a_w, "jump": c_arr * b_w},
-    )
-
-
-def _generate_on_tree(config, tree, decay, jump_index, a_w, b_w):
-    n = tree.depth
-    w_step_diff = tree.driver_step("diff")
-    w_step_jump = tree.driver_step("jump")
-    s = [np.array([1.0 - config.z0])]
-    ps_levels, da_levels, dm_levels = [], [], []
-    c_levels = []
-    for k in range(1, n + 1):
-        c, ps, da = _dm_coefficient(s[-1], decay[k - 1])
-        w = a_w * w_step_diff + b_w * w_step_jump
-        dm = np.repeat(c, tree.branching) * np.tile(w, tree.n_nodes(k - 1))
-        dm = tree.recenter_children(dm)
-        ps_child = tree.lift(ps)
-        s.append(ps_child + ps_child * dm)
-        ps_levels.append(ps)
-        da_levels.append(da)
-        dm_levels.append(dm)
-        c_levels.append(c)
-    _check_outputs(np.concatenate(dm_levels), np.concatenate(s), config)
-    return SupermartingaleModel(
-        carrier=tree,
-        config=config,
-        decay=decay,
-        jump_index=jump_index,
-        s=s,
-        pred_one_minus_z=ps_levels,
-        a_increments=da_levels,
-        tilde_m_increments=dm_levels,
-        tilde_m_coeffs={
-            "diff": [c * a_w for c in c_levels],
-            "jump": [c * b_w for c in c_levels],
-        },
-    )
 
 
 def _check_outputs(dm, s, config):
@@ -266,8 +208,6 @@ def tilde_m_increments(model: SupermartingaleModel):
     Raises if the predictable projection is not strictly positive (the
     standing positivity hypothesis on 1 - Z fails).
     """
-    ps = model.pred_one_minus_z
-    flat = np.concatenate(ps) if model.is_tree else ps
-    if np.any(flat <= 0.0):
+    if np.any(model.carrier.flat(model.pred_one_minus_z) <= 0.0):
         raise BoundaryError("predictable projection of 1 - Z must be positive")
     return model.tilde_m_increments

@@ -92,9 +92,29 @@ class ScenarioTree:
         """Realized step-k increments as a level-k array."""
         return np.tile(self.driver_step(driver), self.n_nodes(k - 1))
 
+    def at(self, obj, k: int):
+        return obj[k]
+
+    def put(self, obj, k: int, values) -> None:
+        obj[k] = values
+
+    def alloc(self, length: int, *lead: int) -> list:
+        # level arrays carry their own leading dimensions
+        return [None] * length
+
     def lift(self, values: np.ndarray) -> np.ndarray:
-        """Copy level k-1 node values onto their children."""
-        return np.repeat(values, self.branching)
+        """Copy level k-1 node values onto their children (last axis)."""
+        return np.repeat(values, self.branching, axis=-1)
+
+    def realize(self, branch_values, block, k: int) -> np.ndarray:
+        """Per-branch values of one block, (..., parents or 1, branches), as
+        level-k values: every combined child realizes its block branch."""
+        v = np.asarray(branch_values)[..., self._block_branch[block.name]]
+        v = np.broadcast_to(v, v.shape[:-2] + (self.n_nodes(k - 1), self.branching))
+        return v.reshape(v.shape[:-2] + (-1,))
+
+    def flat(self, obj) -> np.ndarray:
+        return np.concatenate([np.ravel(v) for v in obj])
 
     def node_probs(self, k: int) -> np.ndarray:
         out = np.ones(1)

@@ -9,7 +9,8 @@ from defaultlab.calculus import (
     stochastic_integral,
 )
 from defaultlab.errors import DomainError, GridMismatchError
-from defaultlab.grids import DriverLinear, PathBundle, TimeGrid, sample_bundle, three_branch_model
+from defaultlab.default_measure import TestMartingale
+from defaultlab.grids import TimeGrid, sample_bundle, three_branch_model
 
 
 def test_stochastic_integral_hand_values():
@@ -98,8 +99,8 @@ def test_bracket_of_independent_drivers_is_zero():
     grid = TimeGrid(1.0, 50)
     model = three_branch_model(with_coin=True)
     bundle = sample_bundle(grid, model, 40, seed=1)
-    x = DriverLinear(bundle, 0.0, {"diff": 1.3})
-    y = DriverLinear(bundle, 0.0, {"coin": 0.7})
+    x = TestMartingale(bundle, "x", 0.0, {"diff": np.full(50, 1.3)})
+    y = TestMartingale(bundle, "y", 0.0, {"coin": np.full(50, 0.7)})
     np.testing.assert_array_equal(predictable_bracket(x, y), np.zeros((40, 51)))
 
 
@@ -108,7 +109,7 @@ def test_bracket_variance_telescopes_with_constant_coefficient():
     grid = TimeGrid(1.0, 10)
     model = three_branch_model()
     bundle = sample_bundle(grid, model, 3, seed=2)
-    x = DriverLinear(bundle, 0.0, {"diff": 2.0})
+    x = TestMartingale(bundle, "x", 0.0, {"diff": np.full(10, 2.0)})
     b = predictable_bracket(x, x)
     np.testing.assert_allclose(b[0], 2.0 * np.arange(11))
 
@@ -120,8 +121,8 @@ def test_bracket_bilinear_in_coefficients():
     rng = np.random.default_rng(9)
     c1 = rng.normal(size=(12, 30))
     c2 = rng.normal(size=(12, 30))
-    x = DriverLinear(bundle, 0.0, {"diff": c1, "jump": c2})
-    y = DriverLinear(bundle, 1.0, {"diff": c2, "coin": c1})
+    x = TestMartingale(bundle, "x", 0.0, {"diff": c1, "jump": c2})
+    y = TestMartingale(bundle, "y", 1.0, {"diff": c2, "coin": c1})
     b = predictable_bracket(x, y)
     # only the diff*diff term survives: gamma = 0.5
     expect = np.zeros((12, 31))
@@ -134,7 +135,7 @@ def test_bracket_matches_sample_covariance_of_martingale_increments():
     grid = TimeGrid(1.0, 8)
     model = three_branch_model()
     bundle = sample_bundle(grid, model, 200_000, seed=11)
-    x = DriverLinear(bundle, 0.0, {"diff": 0.8, "jump": 0.1})
+    x = TestMartingale(bundle, "x", 0.0, {"diff": np.full(8, 0.8), "jump": np.full(8, 0.1)})
     inc = x.increments()
     b = predictable_bracket(x, x)
     sample = np.mean(inc**2, axis=0)

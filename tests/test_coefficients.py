@@ -372,7 +372,7 @@ def canonical_solution(pair, model, x0):
     """One-step map recursion x -> (x + x dm) + f(x)'dY on either carrier."""
     spec = pair.spec
     grid = pair.carrier.grid
-    if pair.is_tree:
+    if isinstance(pair.carrier, ScenarioTree):
         tree = pair.carrier
         levels = [np.full(1, x0)]
         for k in range(1, tree.depth + 1):

@@ -206,10 +206,8 @@ def test_sign_modulated_coefficients_are_bounded_and_predictable():
     for k in range(1, 6):
         c = mart.coeff_at("diff", k)
         assert np.all(np.abs(c) == 1.0)
-    inc = bundle.driver_increments("jump")
-    np.testing.assert_array_equal(
-        mart.coeff_at("diff", 3), np.sign(inc[:, 1]) + (inc[:, 1] == 0.0)
-    )
+    inc = bundle.driver_increments("jump", 2)
+    np.testing.assert_array_equal(mart.coeff_at("diff", 3), np.sign(inc) + (inc == 0.0))
 
 
 # ---------------------------------------------------------------------------

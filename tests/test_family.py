@@ -58,7 +58,7 @@ def reference_solution(pair, model, u, x0):
     # independent regrouped recursion x_k = x_{k-1} (1 + dm) + sum f_j dy_j
     grid = pair.carrier.grid
     n = grid.steps
-    if pair.is_tree:
+    if isinstance(pair.carrier, ScenarioTree):
         tree = pair.carrier
         levels = [None] * u + [np.full(tree.n_nodes(u), x0)]
         for k in range(u + 1, n + 1):
@@ -168,6 +168,30 @@ def test_family_bundle_invariants_and_subset():
     term = fam.terminal(8)
     np.testing.assert_array_equal(term, model.s[:, 8])
     assert np.all(fam.terminal_infinity() == 1.0)
+
+
+def test_family_bundle_report_same_for_full_and_terminal_storage():
+    bundle, model, pair = bundle_setup(steps=8, n_paths=300)
+    full = build_family(pair, model)
+    term = build_family(pair, model, keep="terminal")
+    assert full.report == term.report
+    assert [c["name"] for c in full.report["checks"]] == [
+        "starts_at_one_minus_z",
+        "nonnegative",
+        "bounded_by_one_minus_z",
+        "nondecreasing_in_u",
+        "terminal_normalization",
+    ]
+    for u in full.u_indices:
+        np.testing.assert_array_equal(full.terminal(u), term.terminal(u))
+    # a drift broken by +0.5 at step 2 lifts members above 1 - Z: both
+    # storage modes must refuse the family
+    bad_dm = model.tilde_m_increments.copy()
+    bad_dm[:, 1] += 0.5
+    bad = dataclasses.replace(model, tilde_m_increments=bad_dm)
+    for keep in ("full", "terminal"):
+        with pytest.raises(SolverInconsistencyError):
+            build_family(pair, bad, keep=keep)
 
 
 def test_family_negative_control_broken_drift_raises():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from defaultlab.default_measure import TestMartingale
 from defaultlab.errors import ConfigurationError, GridMismatchError, UnsupportedProcessError
 from defaultlab.grids import (
     DriverBlock,
-    DriverLinear,
     IncrementModel,
     PathBundle,
     TimeGrid,
@@ -116,9 +116,9 @@ def test_driver_linear_values_and_increments():
     m = three_branch_model()
     # one path with branches [0, 1, 2]: diff increments (1, -1, 0)
     bundle = PathBundle(grid, m, {"tri": np.array([[0, 1, 2]], dtype=np.int8)})
-    x = DriverLinear(bundle, 2.0, {"diff": np.array([1.0, 2.0, 3.0])})
+    x = TestMartingale(bundle, "x", 2.0, {"diff": np.array([1.0, 2.0, 3.0])})
     np.testing.assert_array_equal(x.increments(), [[1.0, -2.0, 0.0]])
     np.testing.assert_array_equal(x.values(), [[2.0, 3.0, 1.0, 1.0]])
     # jump driver on same branches gives (1, 1, -1)
-    y = DriverLinear(bundle, 0.0, {"jump": 1.0})
+    y = TestMartingale(bundle, "y", 0.0, {"jump": np.ones(3)})
     np.testing.assert_array_equal(y.values(), [[0.0, 1.0, 2.0, 1.0]])

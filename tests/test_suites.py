@@ -111,7 +111,7 @@ def test_polarize_suite_smoke():
         t_values=(2.0, 5.0), n_paths=500, seed=3, u_times=(0.0, 0.5, 1.0, 1.5)
     )
     names = check_map(rep)
-    assert names["cdf_normalization_max"]["value"] <= 1e-12
+    assert names["terminal_bounds_max_violation"]["value"] <= 1e-12
     assert rep["experiment"]["t_values"] == [2.0, 5.0]
     fr = rep["experiment"]["interior_fraction"]
     assert len(fr) == 2 and all(0.0 <= f <= 1.0 for f in fr)
@@ -131,6 +131,22 @@ def test_polarization_experiment_decreases_small():
     assert rep["monotone_decreasing"]
     assert rep["interior_fraction"][1] < rep["interior_fraction"][0]
     assert len(rep["bin_edges"]) == 21
-    assert max(rep["normalization_residual"]) <= 1e-12
+    assert max(rep["terminal_bound_violation"]) <= 1e-12
     for h in rep["histograms"]:
         assert abs(sum(h) - 1.0) < 1e-9
+
+
+def test_polarize_terminal_bounds_negative_control(monkeypatch):
+    # members shifted up by 1e-9: the u = T member starts at 1 - Z_T
+    # bitwise, so the shift breaches the upper bound by 1e-9
+    from defaultlab import default_measure
+
+    solve = default_measure.solve_natural
+    monkeypatch.setattr(default_measure, "solve_natural", lambda *args: solve(*args) + 1e-9)
+    rep = polarize_suite(t_values=(2.0,), n_paths=200, seed=3, u_times=(0.0, 1.0, 2.0))
+    check = check_map(rep)["terminal_bounds_max_violation"]
+    assert not check["pass"] and not rep["pass"]
+    assert abs(check["value"] - 1e-9) < 1e-12
+    monkeypatch.setattr(default_measure, "solve_natural", solve)
+    rep = polarize_suite(t_values=(2.0,), n_paths=200, seed=3, u_times=(0.0, 1.0, 2.0))
+    assert check_map(rep)["terminal_bounds_max_violation"]["pass"]
