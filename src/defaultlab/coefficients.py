@@ -102,6 +102,16 @@ def _phi_tail_tables():
 _TAIL_T, _TAIL_PHI, _PHI_CURV_MAX = _phi_tail_tables()
 
 
+def _tail(x):
+    """Mask of the points outside [-1, 1] (nan included), None if there are none.
+
+    The clamp's tail formulas run on these points only; in the identity
+    region they are never needed.
+    """
+    tail = ~(np.abs(x) <= 1.0)
+    return tail if tail.any() else None
+
+
 def smooth_clamp(x):
     """Odd, smooth, nondecreasing; exactly x on [-1, 1]; saturates near 2.
 
@@ -109,16 +119,20 @@ def smooth_clamp(x):
     bitwise pass-through, which downstream exactness arguments rely on.
     """
     x = np.asarray(x, dtype=float)
-    a = np.abs(x)
-    tail = np.sign(x) * np.interp(a, _TAIL_T, _TAIL_PHI)
-    out = np.where(a <= 1.0, x, tail)
+    out = x.copy()
+    tail = _tail(x)
+    if tail is not None:
+        xt = x[tail]
+        out[tail] = np.sign(xt) * np.interp(np.abs(xt), _TAIL_T, _TAIL_PHI)
     return out if out.ndim else float(out)
 
 
 def smooth_clamp_deriv(x):
     x = np.asarray(x, dtype=float)
-    a = np.abs(x)
-    out = np.where(a <= 1.0, 1.0, 1.0 - smoothstep((a - 1.0) / 2.0))
+    out = np.ones(x.shape)
+    tail = _tail(x)
+    if tail is not None:
+        out[tail] = 1.0 - smoothstep((np.abs(x[tail]) - 1.0) / 2.0)
     return out if out.ndim else float(out)
 
 
@@ -482,6 +496,18 @@ def _rho_bounds(one_plus_dm, sup_a, inf_b):
     return np.minimum(cap_a, cap_b).min(axis=-1)
 
 
+def _joint_branches(blocks):
+    """Branch index of each named block over every joint outcome of the blocks.
+
+    Independent blocks realize every combination of their branches; a
+    block listed twice counts once, so a single block gives its own
+    branches in order.
+    """
+    blocks = list({blk.name: blk for blk in blocks}.values())
+    idx = np.indices([blk.n_branches for blk in blocks]).reshape(len(blocks), -1)
+    return {blk.name: idx[i] for i, blk in enumerate(blocks)}
+
+
 def _coeff_split(cand_km, drivers, pats):
     """Express a candidate as sum_d coeff_d * pattern_d (per component)."""
     if len(drivers) == 1:
@@ -518,6 +544,8 @@ def build_y(
     cand, blk = _draw_candidates(spec, imodel, grid, drivers, scale, seed)
     pats = [imodel.pattern(d) for d in drivers]
     exact = isinstance(carrier, ScenarioTree)
+    # joint (dm branch, candidate branch) outcomes a path can realize
+    joint = _joint_branches([imodel.block_of(d) for d in model.tilde_m_coeffs] + [blk])
     y_inc = carrier.alloc(n, spec.m)
     coeffs = {d: carrier.alloc(n, spec.m) for d in drivers}
     rho_all, ma_all, mb_all = carrier.alloc(n), carrier.alloc(n), carrier.alloc(n)
@@ -536,14 +564,19 @@ def build_y(
                 carrier.realize(inf_b, blk, k).reshape(siblings),
             )
         else:
-            # a path realizes one branch; admissibility must cover every
-            # branch outcome of dm, rebuilt from its coefficients
+            # a path realizes one outcome; admissibility must cover every
+            # joint outcome of dm, rebuilt from its coefficients, and of
+            # the candidate
             oracle.build_table(table_cells)
             inf_b = oracle.inf_b_table(ps)  # (paths, b) conservative
             dm_branch = 0.0
             for d, c in model.tilde_m_coeffs.items():
-                dm_branch = dm_branch + c[:, k - 1 : k] * imodel.pattern(d)[None, :]
-            bound = _rho_bounds(1.0 + dm_branch, oracle.sup_a[None, :], inf_b)
+                pattern = imodel.pattern(d)[joint[imodel.block_of(d).name]]
+                dm_branch = dm_branch + c[:, k - 1 : k] * pattern[None, :]
+            cand_branch = joint[blk.name]
+            bound = _rho_bounds(
+                1.0 + dm_branch, oracle.sup_a[None, cand_branch], inf_b[:, cand_branch]
+            )
         rho = _ladder_select(bound, ladder_depth)
         rho_child = carrier.lift(rho)
         carrier.put(rho_all, k - 1, rho)
@@ -575,6 +608,58 @@ def build_y(
 # ---------------------------------------------------------------------------
 # pair conditions (i)(ii)(iii)
 
+_CONDITIONS = ("condition_i", "condition_ii", "condition_iii")
+
+
+def _new_condition_agg():
+    """Empty running aggregate of pair-condition reports."""
+    agg = {key: {"checked": 0, "min_slack": None, "violations": 0} for key in _CONDITIONS}
+    agg["agree"] = True
+    return agg
+
+
+def _fold_conditions(agg, rep):
+    """Fold one `check_pair_conditions` report into a running aggregate."""
+    for key in _CONDITIONS:
+        sub = rep[key]
+        if sub["checked"]:
+            slot = agg[key]
+            slot["checked"] += sub["checked"]
+            slot["violations"] += sub["violations"]
+            ms = sub["min_slack"]
+            slot["min_slack"] = ms if slot["min_slack"] is None else min(slot["min_slack"], ms)
+    agg["agree"] = agg["agree"] and rep["monotone_map_agrees"]
+
+
+def _condition_slacks(dm, ps, x, fdy, xp=None, fpdy=None, tiny=1e-12):
+    """Slacks of conditions (i)-(iii) at one step, child/path level.
+
+    ``ps`` and ``x`` (and the partner's ``xp``) are lifted to the children;
+    ``fdy`` is f(X)'dY of the step.  Each condition gives ``(slack, ok)``:
+    the slack on every state, and the mask of states where its denominator
+    exceeds ``tiny``; elsewhere the slack reads +inf.  (iii) is None without
+    a partner.  The last entry tells whether the one-step-map form of (iii)
+    agrees with the quotient form wherever (iii) is checked.
+    """
+    one = 1.0 + dm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = ps - x
+        ok = np.abs(denom) > tiny
+        cond_i = (np.where(ok, one - fdy / denom, np.inf), ok)
+        ok = np.abs(x) > tiny
+        cond_ii = (np.where(ok, one + fdy / x, np.inf), ok)
+        if xp is None:
+            return cond_i, cond_ii, None, True
+        denom = x - xp
+        ok = np.abs(denom) > tiny
+        slack = one + (fdy - fpdy) / denom
+        # equivalent form: the one-step map is monotone between the two
+        # states iff the slack is nonnegative
+        map_diff = (x + x * dm + fdy) - (xp + xp * dm + fpdy)
+        same = np.abs(map_diff - denom * slack) <= 1e-10 * (1.0 + np.abs(map_diff))
+    return cond_i, cond_ii, (np.where(ok, slack, np.inf), ok), bool(np.all(same | ~ok))
+
+
 def check_pair_conditions(pair, model, x_values, x_prime_values=None, window=None, tiny=1e-12):
     """Pointwise admissibility report for a solution (and optional partner).
 
@@ -596,36 +681,27 @@ def check_pair_conditions(pair, model, x_values, x_prime_values=None, window=Non
         t = grid.times[k]
         dm = carrier.at(model.tilde_m_increments, k - 1)
         ps_prev = carrier.at(model.pred_one_minus_z, k - 1)
-        ps = carrier.lift(ps_prev)
         dy = pair.y_step(k)
         x_prev = carrier.at(x_values, k - 1)
-        x_child = carrier.lift(x_prev)
         fdy = _dot_components(carrier.lift(evaluate_f(pair.spec, t, x_prev, ps_prev)), dy)
-        denom = ps - x_child
-        ok = np.abs(denom) > tiny
-        if np.any(ok):
-            slack_i.append((1.0 + dm[ok]) - fdy[ok] / denom[ok])
-        ok = np.abs(x_child) > tiny
-        if np.any(ok):
-            s = (1.0 + dm[ok]) + fdy[ok] / x_child[ok]
-            slack_ii.append(s)
-            strict_ii = strict_ii and bool(np.all(s > 0.0))
+        xp_child = fpdy = None
         if x_prime_values is not None:
             xp_prev = carrier.at(x_prime_values, k - 1)
             xp_child = carrier.lift(xp_prev)
             fpdy = _dot_components(carrier.lift(evaluate_f(pair.spec, t, xp_prev, ps_prev)), dy)
-            denom = x_child - xp_child
-            ok = np.abs(denom) > tiny
-            if np.any(ok):
-                s = (1.0 + dm[ok]) + (fdy[ok] - fpdy[ok]) / denom[ok]
-                slack_iii.append(s)
-                # equivalent form: the one-step map is monotone between the
-                # two states iff the slack is nonnegative
-                map_x = x_child[ok] + x_child[ok] * dm[ok] + fdy[ok]
-                map_xp = xp_child[ok] + xp_child[ok] * dm[ok] + fpdy[ok]
-                map_diff = map_x - map_xp
-                same = np.abs(map_diff - denom[ok] * s) <= 1e-10 * (1.0 + np.abs(map_diff))
-                agree = agree and bool(np.all(same))
+        cond_i, cond_ii, cond_iii, same = _condition_slacks(
+            dm, carrier.lift(ps_prev), carrier.lift(x_prev), fdy, xp_child, fpdy, tiny
+        )
+        slack, ok = cond_i
+        if np.any(ok):
+            slack_i.append(slack[ok])
+        slack, ok = cond_ii
+        if np.any(ok):
+            slack_ii.append(slack[ok])
+            strict_ii = strict_ii and bool(np.all(slack[ok] > 0.0))
+        if cond_iii is not None and np.any(cond_iii[1]):
+            slack_iii.append(cond_iii[0][cond_iii[1]])
+            agree = agree and same
 
     def summarize(chunks):
         if not chunks:

@@ -20,6 +20,13 @@ identity
 
     (1 - Z_k) - one step from 1 - Z_{k-1} = kappa_k * dA_k,
     kappa_k = (1 + dm_k) - (1 - Z_{k-1}) g(t_k, 1 - Z_{k-1})' dY_k.
+
+`build_family` is one pass: it solves each member once, evaluating f once
+per (member, step), and on a bundle folds in from the same states and f'dY
+both the pathwise invariants and the slacks of the pair conditions
+(i)-(iii) over adjacent members plus one wide witness pair.  The Monte
+Carlo suite reads that aggregate from ``MartingaleFamily.conditions``
+instead of solving the members again and re-evaluating f on them.
 """
 
 from __future__ import annotations
@@ -28,7 +35,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import evaluate_f, evaluate_f_x, _dot_components
+from .coefficients import (
+    _CONDITIONS,
+    _condition_slacks,
+    _dot_components,
+    _fold_conditions,
+    _new_condition_agg,
+    evaluate_f,
+    evaluate_f_x,
+)
 from .errors import ConfigurationError, GridMismatchError, SolverInconsistencyError
 from .tree import ScenarioTree, verify_im_axioms
 
@@ -53,14 +68,40 @@ def _start_level(pair, x, size):
     return x.copy()
 
 
-def _one_step(pair, model, k: int, x_prev):
-    """Map the state at k-1 to the state at k (child/path layout)."""
+def _advance(x, dm, f, dy):
+    """The solver update (x + x dm) + f'dY on child/path-level inputs.
+
+    Returns the next state and the f'dY it used.
+    """
+    fdy = _dot_components(f, dy)
+    return (x + x * dm) + fdy, fdy
+
+
+def _step(pair, model, k: int, x_prev):
+    """Map the state at k-1 to the state at k; also return its f'dY."""
     carrier = pair.carrier
     ps = carrier.at(model.pred_one_minus_z, k - 1)
     f = evaluate_f(pair.spec, carrier.grid.times[k], x_prev, ps)
-    xc = carrier.lift(x_prev)
     dm = carrier.at(model.tilde_m_increments, k - 1)
-    return (xc + xc * dm) + _dot_components(carrier.lift(f), pair.y_step(k))
+    return _advance(carrier.lift(x_prev), dm, carrier.lift(f), pair.y_step(k))
+
+
+def _solve(pair, model, u: int, x, keep_fdy: bool = False):
+    """solve_natural's recursion; with ``keep_fdy`` also the per-step f'dY
+    as a carrier step object (entries before step u + 1 unset)."""
+    carrier = pair.carrier
+    n = carrier.grid.steps
+    if not 0 <= u <= n:
+        raise ConfigurationError(f"start index {u} outside grid")
+    out = carrier.alloc(n + 1)
+    fdy = carrier.alloc(n) if keep_fdy else None
+    carrier.put(out, u, _start_level(pair, x, carrier.n_nodes(u)))
+    for k in range(u + 1, n + 1):
+        x_next, fdy_k = _step(pair, model, k, carrier.at(out, k - 1))
+        carrier.put(out, k, x_next)
+        if keep_fdy:
+            carrier.put(fdy, k - 1, fdy_k)
+    return out, fdy
 
 
 def solve_natural(pair, model, u: int, x):
@@ -70,15 +111,7 @@ def solve_natural(pair, model, u: int, x):
     return a (paths, steps+1) array with nan below u.  The start column is
     the given x bitwise.
     """
-    carrier = pair.carrier
-    n = carrier.grid.steps
-    if not 0 <= u <= n:
-        raise ConfigurationError(f"start index {u} outside grid")
-    out = carrier.alloc(n + 1)
-    carrier.put(out, u, _start_level(pair, x, carrier.n_nodes(u)))
-    for k in range(u + 1, n + 1):
-        carrier.put(out, k, _one_step(pair, model, k, carrier.at(out, k - 1)))
-    return out
+    return _solve(pair, model, u, x)[0]
 
 
 @dataclass
@@ -89,7 +122,8 @@ class MartingaleFamily:
     (paths, steps+1) array on bundles); ``terminal(u)`` its final slice.
     The full-mass member is identically one and exposed separately since
     it carries the beyond-horizon atom.  ``report`` holds the invariant
-    verification.
+    verification; ``conditions`` (bundles) the pair-condition aggregate
+    folded in during the solve (see `_PairConditionFold`).
     """
 
     pair: object
@@ -99,6 +133,7 @@ class MartingaleFamily:
     report: dict = field(default_factory=dict)
     storage: str = "full"
     terminal_by_u: dict = field(default_factory=dict)
+    conditions: dict | None = None
 
     @property
     def carrier(self):
@@ -166,6 +201,66 @@ class _PathwiseFamilyCheck:
         return {"checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
+class _PairConditionFold:
+    """Slacks of pair conditions (i)-(iii), folded in member by member as solved.
+
+    Each member u is checked over its own steps u + 1..N from the f'dY its
+    solve produced, so no f is evaluated again: (i) and (ii) on the member,
+    and (iii) against the previous member of the u grid (the first member
+    is checked alone).  The member at N // 2 is checked once more against
+    the member at 0, a wide witness pair; any pair quotient is a gap-weighted
+    mean of adjacent ones, so adjacent strictness is the binding case.  The
+    aggregate is what `check_pair_conditions` reports for those (member,
+    partner) calls, folded: per condition the states checked, the smallest
+    slack (None if nothing was checked) and the violations below -1e-12,
+    plus ``agree``, whether the one-step-map form of (iii) agreed everywhere.
+    Only the previous member, and the member at 0 until the witness pair is
+    checked, stay referenced.
+    """
+
+    def __init__(self, pair, model, u_indices):
+        self.pair, self.model = pair, model
+        n = pair.carrier.grid.steps
+        mid = n // 2
+        self.mid = mid if mid >= 1 and 0 in u_indices and mid in u_indices else None
+        self.prev = self.zero = None
+        self.agg = _new_condition_agg()
+
+    def add(self, u, sol, fdy):
+        carrier, model = self.pair.carrier, self.model
+        partners = [self.prev]
+        if u == self.mid:
+            partners.append(self.zero)
+        for k in range(u + 1, carrier.grid.steps + 1):
+            dm = carrier.at(model.tilde_m_increments, k - 1)
+            ps = carrier.lift(carrier.at(model.pred_one_minus_z, k - 1))
+            x = carrier.lift(carrier.at(sol, k - 1))
+            for partner in partners:
+                xp = fpdy = None
+                if partner is not None:
+                    xp = carrier.lift(carrier.at(partner[0], k - 1))
+                    fpdy = carrier.at(partner[1], k - 1)
+                self._fold(*_condition_slacks(dm, ps, x, carrier.at(fdy, k - 1), xp, fpdy))
+        if u == 0 and self.mid is not None:
+            self.zero = (sol, fdy)
+        if u == self.mid:
+            self.zero = None
+        self.prev = (sol, fdy)
+
+    def _fold(self, cond_i, cond_ii, cond_iii, agree):
+        # the step's report in check_pair_conditions' form; unchecked
+        # states read +inf, so they never set the minimum or a violation
+        rep = {"monotone_map_agrees": agree}
+        for key, cond in zip(_CONDITIONS, (cond_i, cond_ii, cond_iii)):
+            checked = 0 if cond is None else int(np.count_nonzero(cond[1]))
+            rep[key] = {
+                "checked": checked,
+                "min_slack": float(cond[0].min()) if checked else None,
+                "violations": int(np.count_nonzero(cond[0] < -1e-12)) if checked else 0,
+            }
+        _fold_conditions(self.agg, rep)
+
+
 def build_family(pair, model, u_indices=None, tol: float = 1e-12, keep: str = "full") -> MartingaleFamily:
     """Solve M^u from (u, 1 - Z_u) for each requested u and verify invariants.
 
@@ -178,14 +273,18 @@ def build_family(pair, model, u_indices=None, tol: float = 1e-12, keep: str = "f
     suites.  ``u_indices`` defaults to the whole grid.  ``keep="terminal"``
     (bundles only) stores just the terminal slice per u to bound memory on
     wide bundles; every invariant is still checked on the full solution
-    before it is dropped.
+    before it is dropped.  On bundles the same pass also folds the slacks
+    of pair conditions (i)-(iii) into ``conditions`` (see
+    `_PairConditionFold`); trees leave it None.
     """
     carrier = pair.carrier
     n = carrier.grid.steps
     if u_indices is None:
         u_indices = list(range(n + 1))
     u_indices = sorted(int(u) for u in u_indices)
-    if u_indices and (u_indices[0] < 0 or u_indices[-1] > n):
+    if not u_indices:
+        raise ConfigurationError("a family needs at least one u index")
+    if u_indices[0] < 0 or u_indices[-1] > n:
         raise ConfigurationError("u indices outside the grid")
     if keep not in ("full", "terminal"):
         raise ConfigurationError(f"unknown storage mode {keep!r}")
@@ -193,11 +292,13 @@ def build_family(pair, model, u_indices=None, tol: float = 1e-12, keep: str = "f
     if keep == "terminal" and exact:
         raise ConfigurationError("terminal storage is a bundle option")
     pathwise = None if exact else _PathwiseFamilyCheck(model)
+    conditions = None if exact else _PairConditionFold(pair, model, u_indices)
     values, terminal = {}, {}
     for u in u_indices:
-        sol = solve_natural(pair, model, u, carrier.at(model.s, u))
-        if pathwise is not None:
+        sol, fdy = _solve(pair, model, u, carrier.at(model.s, u), keep_fdy=not exact)
+        if not exact:
             pathwise.add(u, sol)
+            conditions.add(u, sol, fdy)
         if keep == "full":
             values[u] = sol
         else:
@@ -209,6 +310,7 @@ def build_family(pair, model, u_indices=None, tol: float = 1e-12, keep: str = "f
         values_by_u=values,
         storage=keep,
         terminal_by_u=terminal,
+        conditions=None if exact else conditions.agg,
     )
     family.report = verify_im_axioms(carrier, family, tol=tol) if exact else pathwise.report(tol)
     if not family.report["pass"]:
@@ -258,7 +360,7 @@ def flow_solve(pair, model, u: int, x) -> Flow:
         fx = evaluate_f_x(pair.spec, grid.times[k], x_prev, ps)
         fxdy = _dot_components(carrier.lift(fx), pair.y_step(k))
         dm = carrier.at(model.tilde_m_increments, k - 1)
-        carrier.put(vals, k, _one_step(pair, model, k, x_prev))
+        carrier.put(vals, k, _step(pair, model, k, x_prev)[0])
         carrier.put(der, k, carrier.lift(carrier.at(der, k - 1)) * ((1.0 + dm) + fxdy))
     return Flow(pair=pair, model=model, u=u, x0=x, values=vals, deriv=der)
 
@@ -289,7 +391,7 @@ def one_step_atom_residuals(pair, model):
     out = np.empty(n)
     for k in range(1, n + 1):
         kap = kappa_values(pair, model, k)
-        image = _one_step(pair, model, k, carrier.at(model.s, k - 1))
+        image = _step(pair, model, k, carrier.at(model.s, k - 1))[0]
         diff = carrier.at(model.s, k) - image
         da = carrier.lift(carrier.at(model.a_increments, k - 1))
         out[k - 1] = float(np.max(np.abs(diff - kap * da)))

@@ -18,6 +18,9 @@ from .coefficients import (
     CoefficientSpec,
     ComponentSpec,
     PlateauSpec,
+    _CONDITIONS,
+    _fold_conditions,
+    _new_condition_agg,
     build_y,
     check_pair_conditions,
 )
@@ -25,6 +28,7 @@ from .default_measure import (
     absolute_continuity_check,
     driver_martingale,
     enlargement_compensator,
+    enlargement_compensators,
     polarization_experiment,
     sample_tau,
     sign_modulated_martingale,
@@ -117,30 +121,9 @@ def affine_identity_suite(n_instances=1000, steps=1000, seed=2024, tol=1e-12):
 # ---------------------------------------------------------------------------
 # pair-condition aggregation
 
-def _new_condition_agg():
-    return {
-        "condition_i": {"checked": 0, "min_slack": None, "violations": 0},
-        "condition_ii": {"checked": 0, "min_slack": None, "violations": 0},
-        "condition_iii": {"checked": 0, "min_slack": None, "violations": 0},
-        "agree": True,
-    }
-
-
-def _fold_conditions(agg, rep):
-    for key in ("condition_i", "condition_ii", "condition_iii"):
-        sub = rep[key]
-        if sub["checked"]:
-            slot = agg[key]
-            slot["checked"] += sub["checked"]
-            slot["violations"] += sub["violations"]
-            ms = sub["min_slack"]
-            slot["min_slack"] = ms if slot["min_slack"] is None else min(slot["min_slack"], ms)
-    agg["agree"] = agg["agree"] and rep["monotone_map_agrees"]
-
-
 def _condition_rows(agg):
     rows = []
-    for key in ("condition_i", "condition_ii", "condition_iii"):
+    for key in _CONDITIONS:
         sub = agg[key]
         ms = sub["min_slack"]
         strict = ms is not None and ms > 0.0 and sub["violations"] == 0
@@ -279,10 +262,10 @@ def mc_suite(
     checks.append(_row("jump_margin_a_min", margin_a, passed=margin_a > 0.0))
     checks.append(_row("jump_margin_b_min", margin_b, passed=margin_b > 0.0))
 
-    agg = _new_condition_agg()
     if all_pairs:
         # every solution alone and every ordered pair, pathwise; all
         # solutions stay resident, so memory is (steps+1) full solutions
+        agg = _new_condition_agg()
         sols = [solve_natural(pair, model, u, s[:, u]) for u in range(n)]
         for u in range(0, n):
             _fold_conditions(
@@ -295,27 +278,9 @@ def mc_suite(
                 )
         del sols
     else:
-        # rolling sweep over adjacent pairs plus one wide witness pair
-        # keeps memory at a few full solutions regardless of path count;
-        # any pair quotient is a gap-weighted mean of adjacent quotients,
-        # so adjacent strictness is the binding case
-        sol_prev = solve_natural(pair, model, 0, s[:, 0])
-        sol_zero = sol_prev
-        _fold_conditions(agg, check_pair_conditions(pair, model, sol_prev, None, window=(1, n)))
-        mid = n // 2
-        sol_mid = None
-        for u in range(1, n):
-            cur = solve_natural(pair, model, u, s[:, u])
-            _fold_conditions(
-                agg, check_pair_conditions(pair, model, cur, sol_prev, window=(u + 1, n))
-            )
-            if u == mid:
-                sol_mid = cur
-            sol_prev = cur
-        if sol_mid is not None and 1 <= mid < n:
-            _fold_conditions(
-                agg, check_pair_conditions(pair, model, sol_mid, sol_zero, window=(mid + 1, n))
-            )
+        # adjacent pairs plus one wide witness pair, folded in by
+        # build_family from its own solve
+        agg = family.conditions
     checks.extend(_condition_rows(agg))
 
     checks.append(
@@ -346,13 +311,11 @@ def mc_suite(
     )
 
     enl_rows = []
-    for mart in (
-        driver_martingale(bundle, "diff"),
-        sign_modulated_martingale(bundle, "jump", "diff"),
-    ):
-        rep = enlargement_compensator(
-            pair, model, family, mart, samples=samples, tol=tol_enlarge, atom_tol=atom_tol
-        )
+    marts = [driver_martingale(bundle, "diff"), sign_modulated_martingale(bundle, "jump", "diff")]
+    reports = enlargement_compensators(
+        pair, model, family, marts, samples=samples, tol=tol_enlarge, atom_tol=atom_tol
+    )
+    for mart, rep in zip(marts, reports):
         units = 0.0
         for e in rep.entries:
             eu = _sigma_units(e["estimate"], e["se"])

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from defaultlab import coefficients
 from defaultlab.coefficients import (
     BumpSpec,
     CoefficientSpec,
@@ -93,6 +94,42 @@ def test_smooth_clamp_deriv_matches_table_slope_in_tail():
     h = 2e-3
     fd = (smooth_clamp(x + h) - smooth_clamp(x - h)) / (2 * h)
     np.testing.assert_allclose(smooth_clamp_deriv(x), fd, atol=2e-3)
+
+
+def _clamp_where(x):
+    # the closed form on every point, tail included
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    tail = np.sign(x) * np.interp(a, coefficients._TAIL_T, coefficients._TAIL_PHI)
+    out = np.where(a <= 1.0, x, tail)
+    return out if out.ndim else float(out)
+
+
+def _clamp_deriv_where(x):
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    out = np.where(a <= 1.0, 1.0, 1.0 - smoothstep((a - 1.0) / 2.0))
+    return out if out.ndim else float(out)
+
+
+def test_smooth_clamp_tail_only_path_is_bitwise_the_closed_form():
+    rng = np.random.default_rng(4)
+    one_up = np.nextafter(1.0, 2.0)
+    special = [0.0, -0.0, 1.0, -1.0, one_up, -one_up, 3.0, -7.5, np.inf, -np.inf, np.nan]
+    pairs = ((smooth_clamp, _clamp_where), (smooth_clamp_deriv, _clamp_deriv_where))
+    for x in (rng.normal(0.0, 2.0, 20_000), rng.uniform(-1.0, 1.0, 1000), np.array(special)):
+        with np.errstate(invalid="ignore"):
+            for fast, ref in pairs:
+                got, want = fast(x), ref(x)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                # compare bit patterns so -0.0 and nan payloads count too
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    with np.errstate(invalid="ignore"):
+        for v in special + [0.25, 2.0]:
+            for fast, ref in pairs:
+                got = fast(v)
+                assert type(got) is float
+                assert np.float64(got).view(np.int64) == np.float64(ref(v)).view(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +302,22 @@ def test_build_y_tree_with_coin_block():
         assert dy.shape == (2, tree.n_nodes(k))
         for j in range(pair.m):
             assert np.all(tree.step_expectation(dy[j]) == 0.0)
+
+
+def test_build_y_candidates_in_another_block_than_dm():
+    # the coin block carries Y while dm lives on the tri block: the bundle
+    # bound must cover every joint (dm branch, coin branch) outcome
+    grid = TimeGrid(horizon=1.0, steps=4)
+    cfg = ZGeneratorConfig(z0=0.5, rate=0.3, sigma=0.5, jump_scale=0.3)
+    for carrier in (
+        ScenarioTree(grid, three_branch_model(with_coin=True)),
+        sample_bundle(grid, three_branch_model(with_coin=True), 500, 3),
+    ):
+        model = generate_z(cfg, carrier)
+        pair = build_y(two_component_spec(), model, seed=5, drivers=("coin",))
+        ma, mb = pair.min_margins()
+        assert ma > 0.0 and mb > 0.0
+        assert carrier.flat(pair.rho).max() > 0.0
 
 
 def test_build_y_tree_margins_match_direct_recomputation():

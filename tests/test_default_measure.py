@@ -17,6 +17,7 @@ from defaultlab.default_measure import (
     absolute_continuity_check,
     driver_martingale,
     enlargement_compensator,
+    enlargement_compensators,
     p_kernel,
     sample_tau,
     sign_modulated_martingale,
@@ -259,6 +260,33 @@ def test_enlargement_mc_functionals_within_three_se():
         assert len(rep.entries) >= 20
         failed = [e for e in rep.entries if not e["pass"]]
         assert rep.passed, failed
+
+
+def test_enlargement_list_form_equals_one_at_a_time():
+    # one pass serving several martingales must give each the report it
+    # gets alone, bit for bit
+    bundle, model, pair, fam = bundle_world(steps=6, n_paths=2000, keep="terminal")
+    samples = sample_tau(fam, model, philox_stream(5, "tau-list"))
+    tree, model_t, pair_t, fam_t = tree_world(steps=3)
+    cases = [
+        ((pair, model, fam), [driver_martingale(bundle, "diff"),
+                              sign_modulated_martingale(bundle, "jump", "diff")], samples),
+        ((pair_t, model_t, fam_t), [driver_martingale(tree, "diff"),
+                                    driver_martingale(tree, "jump")], None),
+    ]
+    for world, marts, smp in cases:
+        together = enlargement_compensators(*world, marts, samples=smp)
+        assert len(together) == len(marts)
+        for mart, rep in zip(marts, together):
+            alone = enlargement_compensator(*world, mart, samples=smp)
+            for attr in ("kind", "martingale", "passed", "max_residual"):
+                assert getattr(rep, attr) == getattr(alone, attr)
+            assert rep.entries == alone.entries
+            assert rep.extras.keys() == alone.extras.keys()
+            if rep.kind == "mc":
+                for key, arr in alone.extras.items():
+                    got = rep.extras[key]
+                    np.testing.assert_array_equal(got.view(np.int64), arr.view(np.int64))
 
 
 def test_enlargement_mc_needs_samples():

@@ -10,8 +10,10 @@ from defaultlab.coefficients import (
     ComponentSpec,
     PlateauSpec,
     build_y,
+    check_pair_conditions,
     evaluate_f,
 )
+from defaultlab import coefficients, suites
 from defaultlab.errors import ConfigurationError, GridMismatchError, SolverInconsistencyError
 from defaultlab.family import (
     build_family,
@@ -192,6 +194,63 @@ def test_family_bundle_report_same_for_full_and_terminal_storage():
     for keep in ("full", "terminal"):
         with pytest.raises(SolverInconsistencyError):
             build_family(pair, bad, keep=keep)
+
+
+def test_empty_u_grid_is_refused_on_both_carriers():
+    for _, model, pair in (tree_setup(steps=4), bundle_setup(steps=4, n_paths=100)):
+        with pytest.raises(ConfigurationError):
+            build_family(pair, model, u_indices=[])
+
+
+def rolling_sweep(pair, model):
+    # the pair-condition sweep of mc_suite without the fused family pass:
+    # every member solved again and checked through check_pair_conditions,
+    # adjacent pairs plus the witness pair (n // 2, 0)
+    s, n = model.s, pair.carrier.grid.steps
+    agg = coefficients._new_condition_agg()
+    sols = [solve_natural(pair, model, u, s[:, u]) for u in range(n)]
+    rep = check_pair_conditions(pair, model, sols[0], None, window=(1, n))
+    coefficients._fold_conditions(agg, rep)
+    for u in range(1, n):
+        rep = check_pair_conditions(pair, model, sols[u], sols[u - 1], window=(u + 1, n))
+        coefficients._fold_conditions(agg, rep)
+    mid = n // 2
+    if mid >= 1:
+        rep = check_pair_conditions(pair, model, sols[mid], sols[0], window=(mid + 1, n))
+        coefficients._fold_conditions(agg, rep)
+    return agg
+
+
+def test_fused_pair_conditions_equal_the_rolling_sweep():
+    for steps in (1, 2, 7, 8):
+        bundle, model, pair = bundle_setup(steps=steps, n_paths=300)
+        want = rolling_sweep(pair, model)
+        for keep in ("full", "terminal"):
+            assert build_family(pair, model, keep=keep).conditions == want
+        assert want["condition_i"]["checked"] > 0 and want["agree"]
+        if steps > 1:
+            assert want["condition_iii"]["checked"] > 0
+            assert want["condition_iii"]["violations"] == 0
+    tree, model, pair = tree_setup(steps=3)
+    assert build_family(pair, model).conditions is None
+
+
+def test_fused_pair_conditions_see_a_seeded_defect():
+    # Y increments scaled up 10x at step 4 break the pair conditions: the
+    # fused aggregate and the rolling sweep must both count violations (the
+    # family invariants would refuse the family, so their tolerance is
+    # lifted to read the aggregate)
+    bundle, model, pair = bundle_setup(steps=8, n_paths=300)
+    bad_y = pair.y_increments.copy()
+    bad_y[:, :, 3] *= 10.0
+    bad = dataclasses.replace(pair, y_increments=bad_y)
+    with pytest.raises(SolverInconsistencyError):
+        build_family(bad, model)
+    fused = build_family(bad, model, tol=np.inf).conditions
+    assert fused == rolling_sweep(bad, model)
+    assert fused["condition_i"]["violations"] > 0
+    assert fused["condition_iii"]["violations"] > 0
+    assert not all(row["pass"] for row in suites._condition_rows(fused))
 
 
 def test_family_negative_control_broken_drift_raises():

@@ -1,5 +1,7 @@
 import numpy as np
 
+from defaultlab import coefficients, default_measure, family
+
 from defaultlab.config import default_config, validate_config
 from defaultlab.grids import TimeGrid, sample_bundle, three_branch_model
 from defaultlab.survival import ZGeneratorConfig, generate_z
@@ -70,6 +72,34 @@ def test_mc_suite_small():
     assert counted <= bundle.n_paths
     # per-cell expected masses telescope to the default-by-horizon mass
     assert abs(sum(r[4] for r in rows) - np.mean(model.s[:, -1])) < 1e-9
+
+
+def test_mc_suite_evaluates_f_once_per_member_step(monkeypatch):
+    # deterministic count gate on the points passed to f: once per (member,
+    # step) in the family pass, which also feeds the pair conditions; on
+    # both density states per step in the enlargement pass, whatever the
+    # number of test martingales; once per path and step in the one-step
+    # atom identity; and once per path whose default cell ends inside the
+    # horizon, when that cell is activated
+    cfg = small_cfg(mc={"paths": 300})
+    bundle, model, pair = build_mc_world(cfg)
+    n, p = cfg.grid.steps, bundle.n_paths
+    assert (n, p) == (8, 300)
+    points = []
+    real = coefficients.evaluate_f
+
+    def counted(spec, t, x, ps):
+        points.append(np.broadcast(np.asarray(x), np.asarray(ps)).size)
+        return real(spec, t, x, ps)
+
+    for mod in (coefficients, family, default_measure):
+        monkeypatch.setattr(mod, "evaluate_f", counted)
+    rep = mc_suite(bundle, model, pair, cfg.seed, sigma_mult=cfg.sigma_multiplier)
+    assert rep["pass"]
+    _, rows = rep["tables"]["tau_cells"]
+    activated = sum(r[2] for r in rows if 1 <= r[0] <= n)
+    assert activated > 0
+    assert sum(points) == p * sum(n - u for u in range(n)) + 2 * n * p + n * p + activated
 
 
 def test_mc_suite_all_pairs_subsumes_adjacent():
