@@ -119,7 +119,7 @@ def _cmd_build_family(cfg):
     for i, u in enumerate(family.u_indices):
         vals = family.values(u)
         for k in range(u, tree.depth + 1):
-            for node, value in enumerate(vals[k]):
+            for node, value in enumerate(vals[k].tolist()):
                 rows.append((u, k, node, value))
     rep = {
         "suite": "build-family",

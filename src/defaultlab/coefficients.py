@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, GridMismatchError
+from .errors import ConfigurationError
 from .grids import philox_stream
 from .tree import ScenarioTree
 
@@ -40,7 +40,6 @@ __all__ = [
     "NaturalPair",
     "evaluate_f",
     "evaluate_f_x",
-    "jump_set_margin",
     "build_y",
     "check_pair_conditions",
 ]
@@ -320,25 +319,119 @@ def _dot_components(vec, arrays):
     return out
 
 
-def jump_set_margin(spec, t, dm, z, pred_one_minus_z, n_grid=None):
-    """Margins of the two admissibility conditions for one jump vector z.
+def _scan_inf_b(ps, xs, g0, g1):
+    """(states, b) minima of -phi'(pS - x) g0_b + phi(pS - x) g1_b over the
+    scan points xs, evaluated point by point (+inf without scan points)."""
+    out = np.empty((ps.size, g0.shape[0]))
+    chunk = max(1, (1 << 22) // max(xs.size, 1))
+    for lo in range(0, ps.size, chunk):
+        gap = ps[lo : lo + chunk, None] - xs[None, :]
+        phi_gap = smooth_clamp(gap)
+        dphi_gap = smooth_clamp_deriv(gap)
+        for b in range(g0.shape[0]):
+            vals = -dphi_gap * g0[b] + phi_gap * g1[b]
+            out[lo : lo + chunk, b] = vals.min(axis=1, initial=np.inf)
+    return out
 
-    margin_a = (1 + dm) - sup_x 2|g(t,x)'z|
-    margin_b = (1 + dm) + inf_x df/dx(t,x)'z
 
-    z is admissible iff both are strictly positive.  Suprema are taken on a
-    dense grid over the support of g; off the support both quantities
-    vanish, which the inf and sup include analytically.
+_HULL_NEIGHBOURS = 2  # hull lines evaluated on each side of a query's own line
+_NEAR_TIE = 2.0**-40  # gap to the envelope, relative to the line scale, that may tie in floats
+
+
+@dataclass(frozen=True)
+class _LowerEnvelope:
+    """Lower envelope of the lines -g0[i] + (pS - x[i]) g1[i] over pS in [0, 1].
+
+    ``hull`` lists the envelope's lines by decreasing slope and ``breaks``
+    the pS at which each hands over to the next.  ``near`` lists the other
+    lines (off-hull ones and hull lines beyond the query window) that come
+    within rounding of the envelope somewhere in [0, 1]; every query
+    evaluates them too.
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (spec.m,):
-        raise GridMismatchError(f"jump vector needs {spec.m} components")
-    xs = spec.scan_grid(n_grid)
-    gz = _dot_components(z, spec.g_value(t, xs))
-    sup_a = 2.0 * float(np.max(np.abs(gz), initial=0.0))
-    fxz = _dot_components(z, evaluate_f_x(spec, t, xs, pred_one_minus_z))
-    inf_b = min(float(np.min(fxz, initial=0.0)), 0.0)
-    return (1.0 + dm) - sup_a, (1.0 + dm) + inf_b
+
+    x: np.ndarray
+    g0: np.ndarray
+    g1: np.ndarray
+    hull: np.ndarray
+    breaks: np.ndarray
+    near: np.ndarray
+
+    @classmethod
+    def build(cls, x, g0, g1):
+        # lines that are zero everywhere read +-0, which the final min with 0 absorbs
+        live = (g0 != 0.0) | (g1 != 0.0)
+        x, g0, g1 = x[live], g0[live], g1[live]
+        slope, icpt = g1, -g0 - x * g1
+        order = np.lexsort((icpt, -slope))
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = slope[order[1:]] != slope[order[:-1]]
+        # monotone chain: decreasing slopes, lowest intercept per slope
+        s, c = slope.tolist(), icpt.tolist()
+        hull, breaks = [], []
+        for j in order[first].tolist():
+            while hull:
+                i = hull[-1]
+                p = (c[j] - c[i]) / (s[i] - s[j])
+                if not breaks or p > breaks[-1]:
+                    break
+                hull.pop()
+                breaks.pop()
+            if hull:
+                breaks.append(p)
+            hull.append(j)
+        hull, breaks = np.array(hull, dtype=np.intp), np.array(breaks)
+        near = np.array([], dtype=np.intp)
+        if hull.size:
+            # far above the rounding of any line value, which is a few ulps
+            # of |g0| + |g1| since |pS - x| <= 1
+            tie = _NEAR_TIE * (np.max(np.abs(g0)) + np.max(np.abs(g1))) + 1e-290
+            near = cls._near_lines(slope, icpt, hull, breaks, tie)
+        return cls(x, g0, g1, hull, breaks, near)
+
+    @staticmethod
+    def _near_lines(slope, icpt, hull, breaks, tie):
+        """Lines a query window misses that come within ``tie`` of the envelope.
+
+        A line's height above the envelope is convex in pS, so its smallest
+        value over a stretch of [0, 1] sits at one point: where the hull's
+        slope crosses the line's own for an off-hull line, and at the first
+        break beyond the window on either side for a hull line.
+        """
+        sh, ch = slope[hull], icpt[hull]
+
+        def height(lines, p):
+            i = np.searchsorted(breaks, p)
+            j = np.maximum(i - 1, 0)
+            env = np.minimum(ch[i] + sh[i] * p, ch[j] + sh[j] * p)
+            return icpt[lines] + slope[lines] * p - env
+
+        # ends[i]: where hull line i takes over
+        ends = np.concatenate([[-np.inf], breaks, [np.inf]])
+        near = np.ones(slope.size, dtype=bool)
+        near[hull] = False
+        off = np.flatnonzero(near)
+        cross = np.searchsorted(-sh, -slope[off])
+        near[off] = height(off, np.clip(ends[cross], 0.0, 1.0)) <= tie
+        # past the window of hull line i: from ends[i + k + 1] on and up to
+        # ends[i - k]; only the parts inside [0, 1] are ever queried
+        k = _HULL_NEIGHBOURS
+        i = np.arange(hull.size - k - 1)
+        i = i[ends[i + k + 1] <= 1.0]
+        near[hull[i]] |= height(hull[i], np.clip(ends[i + k + 1], 0.0, 1.0)) <= tie
+        i = np.arange(k + 1, hull.size)
+        i = i[ends[i - k] >= 0.0]
+        near[hull[i]] |= height(hull[i], np.clip(ends[i - k], 0.0, 1.0)) <= tie
+        return np.flatnonzero(near)
+
+    def minimum(self, ps):
+        """Per state, min over the lines evaluated as the clamp scan does (+inf if none)."""
+        if not self.hull.size:
+            return np.full(ps.size, np.inf)
+        k = _HULL_NEIGHBOURS
+        own = np.searchsorted(self.breaks, ps)
+        win = np.clip(own[:, None] + np.arange(-k, k + 1), 0, self.hull.size - 1)
+        lines = np.concatenate([self.hull[win], np.broadcast_to(self.near, (ps.size, self.near.size))], axis=1)
+        return (-self.g0[lines] + (ps[:, None] - self.x[lines]) * self.g1[lines]).min(axis=1)
 
 
 class _StepMarginOracle:
@@ -346,10 +439,20 @@ class _StepMarginOracle:
 
     For fixed t and candidate branch values, sup_x 2|g'z_b| does not depend
     on the state, while inf_x df/dx'z_b depends on it only through the
-    predictable pS.  The oracle evaluates g once per step and offers either
-    an exact per-state scan (trees) or a conservative lookup table over a
-    pS grid (large path bundles) whose cells are endpoint minima padded by
-    a Lipschitz-in-pS correction.
+    predictable pS.  The oracle evaluates g once per step and offers the
+    exact grid infimum per state (trees) and a conservative lookup table
+    over a pS grid (large path bundles) whose cells are endpoint minima,
+    taken from the exact infimum, padded by a Lipschitz-in-pS correction.
+
+    The exact infimum is a lower envelope of lines: for pS and a scan point
+    x both in [0, 1], pS - x lies in [-1, 1], where the clamp is exactly the
+    identity with derivative exactly 1, so the scanned term is the line
+    -g0[x] + (pS - x) g1[x] in pS.  Each branch builds the envelope of those
+    lines once, on first use; a query evaluates the hull lines around its
+    own, plus the few lines that may tie within rounding, with the scan's
+    float expression, so the minimum is the scan's bitwise.  Scan points
+    outside [0, 1], and states outside [0, 1] or nan, are scanned point by
+    point.
     """
 
     def __init__(self, spec, t, cand, n_grid=None):
@@ -367,21 +470,31 @@ class _StepMarginOracle:
         # inf_x df/dx'z_b = min_x of -phi'(pS - x) g0_b + phi(pS - x) g1_b
         self.g0 = phi_x * self.gz
         self.g1 = dphi_x * self.gz + phi_x * gxz
+        # scan points whose terms are lines in every pS in [0, 1], with
+        # coefficients far enough from overflow for the hull arithmetic
+        tame = np.all(np.abs(self.g0) + np.abs(self.g1) <= 2.0**1000, axis=0)
+        self._on_lines = (self.xs >= 0.0) & (self.xs <= 1.0) & tame
+        self._envelopes = [None] * nb
+
+    def _envelope(self, b):
+        if self._envelopes[b] is None:
+            on = self._on_lines
+            self._envelopes[b] = _LowerEnvelope.build(self.xs[on], self.g0[b][on], self.g1[b][on])
+        return self._envelopes[b]
 
     def inf_b_exact(self, ps) -> np.ndarray:
         """(states, b) exact grid infima at the given predictable states."""
         ps = np.atleast_1d(np.asarray(ps, dtype=float))
-        nb = self.g0.shape[0]
-        out = np.empty((ps.size, nb))
-        chunk = max(1, (1 << 22) // self.xs.size)
-        for lo in range(0, ps.size, chunk):
-            gap = ps[lo : lo + chunk, None] - self.xs[None, :]
-            phi_gap = smooth_clamp(gap)
-            dphi_gap = smooth_clamp_deriv(gap)
-            for b in range(nb):
-                vals = -dphi_gap * self.g0[b] + phi_gap * self.g1[b]
-                out[lo : lo + chunk, b] = np.minimum(vals.min(axis=1), 0.0)
-        return out
+        out = np.empty((ps.size, self.g0.shape[0]))
+        unit = (ps >= 0.0) & (ps <= 1.0)  # False on nan
+        out[~unit] = _scan_inf_b(ps[~unit], self.xs, self.g0, self.g1)
+        if unit.any():
+            q, rest = ps[unit], ~self._on_lines
+            vals = _scan_inf_b(q, self.xs[rest], self.g0[:, rest], self.g1[:, rest])
+            for b in range(vals.shape[1]):
+                vals[:, b] = np.minimum(vals[:, b], self._envelope(b).minimum(q))
+            out[unit] = vals
+        return np.minimum(out, 0.0)
 
     def build_table(self, n_cells: int = 128):
         ps_grid = np.linspace(0.0, 1.0, n_cells + 1)
@@ -532,10 +645,13 @@ def build_y(
 
     Candidates are mean-zero mixtures of the named driver patterns; at each
     (node, step) the largest rho in {1, 1/2, ..., 2^-ladder_depth, 0} is
-    chosen such that every branch outcome (dm_b, rho * z_b) passes
-    `jump_set_margin`.  Trees get exact per-node scans; bundles use the
-    conservative pS table (still strictly admissible, at worst one rung
-    lower in rare borderline states).
+    chosen such that both jump margins of every branch outcome
+    (dm_b, rho * z_b) stay positive: (1 + dm) - rho sup_x 2|g'z| and
+    (1 + dm) + rho inf_x df/dx'z, over the spec's scan grid.  Trees take the
+    exact grid infimum at each node from the step's lower envelope (bitwise
+    the point-by-point scan); bundles use the conservative pS table, whose
+    nodes come from the same envelope (still strictly admissible, at worst
+    one rung lower in rare borderline states).
     """
     carrier = model.carrier
     imodel = carrier.model

@@ -207,13 +207,14 @@ class _PairConditionFold:
     Each member u is checked over its own steps u + 1..N from the f'dY its
     solve produced, so no f is evaluated again: (i) and (ii) on the member,
     and (iii) against the previous member of the u grid (the first member
-    is checked alone).  The member at N // 2 is checked once more against
-    the member at 0, a wide witness pair; any pair quotient is a gap-weighted
-    mean of adjacent ones, so adjacent strictness is the binding case.  The
-    aggregate is what `check_pair_conditions` reports for those (member,
-    partner) calls, folded: per condition the states checked, the smallest
-    slack (None if nothing was checked) and the violations below -1e-12,
-    plus ``agree``, whether the one-step-map form of (iii) agreed everywhere.
+    is checked alone).  The member at N // 2 is checked once more in (iii)
+    only, against the member at 0, a wide witness pair; any pair quotient is
+    a gap-weighted mean of adjacent ones, so adjacent strictness is the
+    binding case.  The aggregate is what `check_pair_conditions` reports for
+    those (member, partner) calls, folded, with each member's (i) and (ii)
+    counted once: per condition the states checked, the smallest slack (None
+    if nothing was checked) and the violations below -1e-12, plus ``agree``,
+    whether the one-step-map form of (iii) agreed everywhere.
     Only the previous member, and the member at 0 until the witness pair is
     checked, stay referenced.
     """
@@ -235,12 +236,14 @@ class _PairConditionFold:
             dm = carrier.at(model.tilde_m_increments, k - 1)
             ps = carrier.lift(carrier.at(model.pred_one_minus_z, k - 1))
             x = carrier.lift(carrier.at(sol, k - 1))
-            for partner in partners:
+            for witness, partner in enumerate(partners):
                 xp = fpdy = None
                 if partner is not None:
                     xp = carrier.lift(carrier.at(partner[0], k - 1))
                     fpdy = carrier.at(partner[1], k - 1)
-                self._fold(*_condition_slacks(dm, ps, x, carrier.at(fdy, k - 1), xp, fpdy))
+                conds = _condition_slacks(dm, ps, x, carrier.at(fdy, k - 1), xp, fpdy)
+                # the witness pair adds only (iii); the member's own pair gave (i)/(ii)
+                self._fold(*((None, None) + conds[2:] if witness else conds))
         if u == 0 and self.mid is not None:
             self.zero = (sol, fdy)
         if u == self.mid:

@@ -56,6 +56,10 @@ def write_json(path, data) -> None:
 
 
 def _cell(value):
+    if type(value) is float:
+        return repr(value)
+    if type(value) is int:
+        return value
     if isinstance(value, (np.bool_, bool)):
         return int(value)
     if isinstance(value, np.integer):

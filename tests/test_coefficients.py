@@ -13,7 +13,6 @@ from defaultlab.coefficients import (
     check_pair_conditions,
     evaluate_f,
     evaluate_f_x,
-    jump_set_margin,
     smooth_clamp,
     smooth_clamp_deriv,
     smoothstep,
@@ -23,6 +22,7 @@ from defaultlab.errors import ConfigurationError, GridMismatchError
 from defaultlab.grids import TimeGrid, sample_bundle, three_branch_model
 from defaultlab.survival import ZGeneratorConfig, generate_z
 from defaultlab.tree import ScenarioTree
+from margin_scan import jump_set_margin
 
 
 def wide_plateau_spec(height=1.0):

@@ -205,7 +205,8 @@ def test_empty_u_grid_is_refused_on_both_carriers():
 def rolling_sweep(pair, model):
     # the pair-condition sweep of mc_suite without the fused family pass:
     # every member solved again and checked through check_pair_conditions,
-    # adjacent pairs plus the witness pair (n // 2, 0)
+    # adjacent pairs plus the witness pair (n // 2, 0), whose member's (i)
+    # and (ii) are already counted, so only its (iii) is folded
     s, n = model.s, pair.carrier.grid.steps
     agg = coefficients._new_condition_agg()
     sols = [solve_natural(pair, model, u, s[:, u]) for u in range(n)]
@@ -217,7 +218,8 @@ def rolling_sweep(pair, model):
     mid = n // 2
     if mid >= 1:
         rep = check_pair_conditions(pair, model, sols[mid], sols[0], window=(mid + 1, n))
-        coefficients._fold_conditions(agg, rep)
+        unchecked = {"checked": 0, "min_slack": None, "violations": 0}
+        coefficients._fold_conditions(agg, {**rep, "condition_i": unchecked, "condition_ii": unchecked})
     return agg
 
 
@@ -231,6 +233,8 @@ def test_fused_pair_conditions_equal_the_rolling_sweep():
         if steps > 1:
             assert want["condition_iii"]["checked"] > 0
             assert want["condition_iii"]["violations"] == 0
+    # each member's (i) states counted once: 300 paths on sum_{u<8} (8 - u) steps
+    assert want["condition_i"]["checked"] == 300 * 36
     tree, model, pair = tree_setup(steps=3)
     assert build_family(pair, model).conditions is None
 
