@@ -39,7 +39,7 @@ from .default_measure import sample_tau
 from .errors import ConfigurationError, DefaultLabError
 from .family import build_family
 from .grids import philox_stream
-from .ioutil import write_csv, write_json
+from .ioutil import BlockTable, write_csv, write_json
 
 SUBCOMMANDS = (
     "verify-tree",
@@ -115,18 +115,19 @@ def _cmd_build_family(cfg):
          "tol": cfg.tol_exact, "pass": c["pass"]}
         for c in family.report["checks"]
     ]
-    rows = []
-    for i, u in enumerate(family.u_indices):
-        vals = family.values(u)
-        for k in range(u, tree.depth + 1):
-            for node, value in enumerate(vals[k].tolist()):
-                rows.append((u, k, node, value))
+
+    def blocks():
+        for u in family.u_indices:
+            vals = family.values(u)
+            for k in range(u, tree.depth + 1):
+                yield (u, k), (np.arange(vals[k].size), vals[k])
+
     rep = {
         "suite": "build-family",
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
         "residuals": {c["name"]: c["value"] for c in checks},
-        "tables": {"family": (("u_index", "t_index", "node", "value"), rows)},
+        "tables": {"family": (("u_index", "t_index", "node", "value"), BlockTable(blocks))},
     }
     return _emit(rep, cfg, "build-family")
 
@@ -153,22 +154,23 @@ def _cmd_sample_tau(cfg):
          "tol": cfg.sigma_multiplier, "pass": units <= cfg.sigma_multiplier}
     )
     tau = samples.tau_u()
-    times = bundle.grid.times
-    rows = [
-        (
-            p,
-            int(tau[p]),
-            times[tau[p]] if tau[p] >= 0 else -1.0,
-            samples.uniform[p],
-        )
-        for p in range(samples.n_paths)
-    ]
+    columns = (
+        np.arange(samples.n_paths),
+        tau,
+        np.where(tau >= 0, bundle.grid.times[tau], -1.0),
+        samples.uniform,
+    )
     rep = {
         "suite": "sample-tau",
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
         "residuals": {c["name"]: float(c["value"]) for c in checks},
-        "tables": {"samples": (("path", "tau_index", "tau_time", "uniform"), rows)},
+        "tables": {
+            "samples": (
+                ("path", "tau_index", "tau_time", "uniform"),
+                BlockTable(lambda: [((), columns)]),
+            )
+        },
     }
     return _emit(rep, cfg, "sample-tau")
 

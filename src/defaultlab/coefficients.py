@@ -59,16 +59,18 @@ def _bump_exp(u):
 
 
 def smoothstep(u):
-    """C-infinity monotone step: exactly 0 for u <= 0 and 1 for u >= 1."""
+    """C-infinity monotone step: exactly 0 for u <= 0 and 1 for u >= 1.
+
+    nan maps to nan.  It is kept out of the quotient, where both bumps are
+    0 and it would divide 0 by 0.
+    """
     u = np.asarray(u, dtype=float)
     b1 = _bump_exp(u)
     b2 = _bump_exp(1.0 - u)
-    out = np.empty(u.shape)
-    lo = u <= 0.0
-    hi = u >= 1.0
-    mid = ~(lo | hi)
-    out[lo] = 0.0
-    out[hi] = 1.0
+    out = np.full(u.shape, np.nan)
+    mid = (u > 0.0) & (u < 1.0)
+    out[u <= 0.0] = 0.0
+    out[u >= 1.0] = 1.0
     out[mid] = b1[mid] / (b1[mid] + b2[mid])
     return out
 

@@ -254,6 +254,8 @@ class EnlargementReport:
     ``entries`` holds one row per checked unit (a (step, condition-atom)
     class on trees, a functional on bundles); ``max_residual`` is the
     worst conditional mean on trees, None for the statistical report.
+    ``tol`` bounds that mean on trees and is the multiple of the standard
+    error each functional must stay within on bundles.
     """
 
     kind: str
@@ -263,6 +265,12 @@ class EnlargementReport:
     max_residual: object
     passed: bool
     extras: dict = field(default_factory=dict)
+
+
+# default tolerances of the enlargement check: an absolute bound on the
+# conditional means of a tree, a multiple of the standard error on a bundle
+_TREE_TOL = 1e-10
+_MC_SIGMA_MULT = 3.0
 
 
 def _enlargement_tree(pair, model, family, mart, tol, atom_tol):
@@ -412,7 +420,7 @@ def _mc_report(bundle, model, mart, samples, tol, functionals, part):
         inc = (g_vals[:, n] - g_vals[:, s]) * h
         est = float(np.mean(inc))
         se = float(np.std(inc) / np.sqrt(p))
-        passed = abs(est) <= 3.0 * se if se > 0.0 else est == 0.0
+        passed = abs(est) <= tol * se if se > 0.0 else est == 0.0
         ok = ok and passed
         entries.append(
             {"functional": name, "anchor": int(s), "estimate": est, "se": se, "pass": passed}
@@ -434,7 +442,7 @@ def enlargement_compensators(
     family,
     marts,
     samples: DefaultSamples | None = None,
-    tol: float = 1e-10,
+    tol: float | None = None,
     functionals=None,
     atom_tol: float = 1e-12,
 ) -> list:
@@ -445,9 +453,11 @@ def enlargement_compensators(
     reports equal the one-at-a-time ones bitwise.
     """
     if isinstance(pair.carrier, ScenarioTree):
+        tol = _TREE_TOL if tol is None else tol
         return [_enlargement_tree(pair, model, family, mart, tol, atom_tol) for mart in marts]
     if samples is None:
         raise ConfigurationError("bundle enlargement check needs sampled defaults")
+    tol = _MC_SIGMA_MULT if tol is None else tol
     return _enlargement_mc(pair, model, family, marts, samples, tol, functionals, atom_tol)
 
 
@@ -457,7 +467,7 @@ def enlargement_compensator(
     family,
     mart: TestMartingale,
     samples: DefaultSamples | None = None,
-    tol: float = 1e-10,
+    tol: float | None = None,
     functionals=None,
     atom_tol: float = 1e-12,
 ) -> EnlargementReport:
@@ -465,9 +475,10 @@ def enlargement_compensator(
 
     On trees the check is exhaustive: the conditional mean of every
     compensated increment given each condition atom (past default cells
-    individually, the future aggregated) must vanish within `tol`.  On
-    bundles it is statistical: sampled defaults plus a battery of bounded
-    functionals, each within three standard errors.
+    individually, the future aggregated) must vanish within `tol`
+    (default 1e-10).  On bundles it is statistical: sampled defaults plus a
+    battery of bounded functionals, each within `tol` standard errors
+    (default 3).
     """
     return enlargement_compensators(
         pair, model, family, [mart], samples, tol, functionals, atom_tol

@@ -236,7 +236,6 @@ def mc_suite(
     tol_exact=1e-12,
     sigma_mult=3.0,
     atom_tol=1e-12,
-    tol_enlarge=1e-10,
     all_pairs=False,
 ):
     """Pathwise and statistical battery at Monte Carlo scale.
@@ -313,7 +312,7 @@ def mc_suite(
     enl_rows = []
     marts = [driver_martingale(bundle, "diff"), sign_modulated_martingale(bundle, "jump", "diff")]
     reports = enlargement_compensators(
-        pair, model, family, marts, samples=samples, tol=tol_enlarge, atom_tol=atom_tol
+        pair, model, family, marts, samples=samples, tol=sigma_mult, atom_tol=atom_tol
     )
     for mart, rep in zip(marts, reports):
         units = 0.0

@@ -4,10 +4,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from defaultlab import cli
 from defaultlab.config import config_hash, default_config, validate_config
+from defaultlab.default_measure import sample_tau
+from defaultlab.family import build_family
+from defaultlab.grids import philox_stream
+from defaultlab.suites import build_mc_world, build_tree_world
+from row_writer import write_rows
 
 
 def write_cfg(tmp_path, raw, name="cfg.json"):
@@ -103,6 +109,47 @@ def test_build_family_zero_forcing_matches_survival(tmp_path):
         u, t, node = int(u), int(t), int(node)
         ref = model.s[u][node // (3 ** (t - u))]
         assert float(val) == ref
+
+
+def test_build_family_csv_is_the_row_writer_bytes(tmp_path):
+    raw = small_raw(depth=4)
+    out = tmp_path / "fam"
+    assert cli.main(["build-family", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 0
+    cfg = validate_config(raw)
+    tree, model, pair = build_tree_world(cfg)
+    family = build_family(pair, model, tol=cfg.tol_exact)
+    rows = [
+        (u, k, node, value)
+        for u in family.u_indices
+        for k in range(u, tree.depth + 1)
+        for node, value in enumerate(family.values(u)[k])
+    ]
+    # every member u <= k has 3**k nodes at level k
+    assert len(rows) == sum((k + 1) * 3**k for k in range(5))
+    write_rows(tmp_path / "ref.csv", ("u_index", "t_index", "node", "value"), rows)
+    got = (out / "build-family" / "family.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_sample_tau_csv_is_the_row_writer_bytes(tmp_path):
+    raw = small_raw(steps=8, paths=700)
+    raw["mc"]["seed"] = 4
+    out = tmp_path / "tau"
+    assert cli.main(["sample-tau", "--config", write_cfg(tmp_path, raw), "--out", str(out)]) == 0
+    cfg = validate_config(raw)
+    bundle, model, pair = build_mc_world(cfg)
+    family = build_family(pair, model, tol=cfg.tol_exact, keep="terminal")
+    samples = sample_tau(family, model, philox_stream(4, "tau-samples"))
+    tau = samples.tau_u()
+    times = bundle.grid.times
+    assert np.any(tau == -1) and np.any(tau >= 0)
+    rows = [
+        (p, int(tau[p]), times[tau[p]] if tau[p] >= 0 else -1.0, samples.uniform[p])
+        for p in range(samples.n_paths)
+    ]
+    write_rows(tmp_path / "ref.csv", ("path", "tau_index", "tau_time", "uniform"), rows)
+    got = (out / "sample-tau" / "samples.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_polarize_handler_wiring(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,19 @@ def test_smoothstep_endpoints_and_midpoint_exact():
     assert smoothstep(np.array([0.5]))[0] == 0.5
     vals = smoothstep(np.linspace(-0.5, 1.5, 401))
     assert np.all(np.diff(vals) >= 0.0)
+
+
+def test_smoothstep_nonfinite_input_without_warnings():
+    u = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 1e-3, 0.25, 0.5, 0.9, 1.0 - 2**-52])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = smoothstep(u)
+        nan_only = smoothstep(np.array([np.nan]))
+    assert np.isnan(out[0]) and np.isnan(nan_only[0])
+    np.testing.assert_array_equal(out[1:6], [1.0, 0.0, 0.0, 0.0, 1.0])
+    mid = u[6:]
+    b1, b2 = np.exp(-1.0 / mid), np.exp(-1.0 / (1.0 - mid))
+    np.testing.assert_array_equal(out[6:].view(np.int64), (b1 / (b1 + b2)).view(np.int64))
 
 
 def test_smoothstep_deriv_matches_fd():

@@ -262,6 +262,23 @@ def test_enlargement_mc_functionals_within_three_se():
         assert rep.passed, failed
 
 
+def test_enlargement_mc_gates_each_functional_at_tol_standard_errors():
+    bundle, model, pair, fam = bundle_world(steps=6, n_paths=2000, keep="terminal")
+    samples = sample_tau(fam, model, philox_stream(5, "tau-list"))
+    mart = driver_martingale(bundle, "diff")
+    default = enlargement_compensator(pair, model, fam, mart, samples=samples)
+    assert default.tol == 3.0 and default.passed
+    worst = max(abs(e["estimate"]) / e["se"] for e in default.entries if e["se"] > 0.0)
+    assert worst > 0.0
+    tight = enlargement_compensator(pair, model, fam, mart, samples=samples, tol=0.5 * worst)
+    assert tight.tol == 0.5 * worst and not tight.passed
+    loose = enlargement_compensator(pair, model, fam, mart, samples=samples, tol=2.0 * worst)
+    assert loose.passed
+    assert [e["estimate"] for e in tight.entries] == [e["estimate"] for e in default.entries]
+    tree, model_t, pair_t, fam_t = tree_world(steps=3)
+    assert enlargement_compensator(pair_t, model_t, fam_t, driver_martingale(tree, "diff")).tol == 1e-10
+
+
 def test_enlargement_list_form_equals_one_at_a_time():
     # one pass serving several martingales must give each the report it
     # gets alone, bit for bit

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from defaultlab.errors import ConfigurationError
-from defaultlab.ioutil import canonical_json, jsonable, write_csv, write_json
+from defaultlab.ioutil import BlockTable, canonical_json, jsonable, write_csv, write_json
+from row_writer import write_rows
 
 
 def test_jsonable_numpy_types():
@@ -56,3 +57,44 @@ def test_write_json_and_csv(tmp_path):
 
     write_csv(str(cp), ("name",), [("x",)])
     assert cp.read_bytes().decode() == "name\r\nx\r\n"
+
+
+EDGE = np.array([-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, np.nan, np.inf, -np.inf, -2.5e-300, 1.0])
+
+
+def edge_blocks():
+    return [
+        ((np.int64(3), np.int32(7)), (np.arange(EDGE.size), EDGE)),
+        ((True, 0), (np.array([-1, 2**40], dtype=np.int64), np.array([0, 255], dtype=np.uint8))),
+        ((1, 2), (np.arange(0), np.empty(0))),
+        ((), (np.arange(3), np.array([0.5, np.nan, -0.0], dtype=np.float32), EDGE[:3])),
+    ]
+
+
+def test_block_table_writes_the_row_writer_bytes(tmp_path):
+    blocks = edge_blocks()
+    rows = [tuple(lead) + row for lead, cols in blocks for row in zip(*cols)]
+    header = ("a", "b", "c", "d")
+    write_rows(str(tmp_path / "rows.csv"), header, rows)
+    table = BlockTable(lambda: blocks)
+    write_csv(str(tmp_path / "blocks.csv"), header, table)
+    raw = (tmp_path / "blocks.csv").read_bytes()
+    assert raw == (tmp_path / "rows.csv").read_bytes()
+    assert len(table) == len(rows) == raw.count(b"\r\n") - 1
+    # iterating twice formats the same blocks again
+    assert "".join(table) == "".join(table) == raw.decode().split("\r\n", 1)[1]
+    assert b"3,7,0,-0.0\r\n3,7,1,5e-324\r\n" in raw
+    assert b"3,7,5,nan\r\n3,7,6,inf\r\n3,7,7,-inf\r\n" in raw
+
+
+def test_block_table_refuses_what_it_cannot_spell(tmp_path):
+    for columns in (
+        (np.array([True, False]),),
+        (np.array(["x", "y"]),),
+        (np.zeros((2, 2)),),
+        (np.arange(2), np.arange(3.0)),
+    ):
+        with pytest.raises(ConfigurationError):
+            list(BlockTable(lambda: [((), columns)]))
+    with pytest.raises(TypeError):
+        list(BlockTable(lambda: [((0.5,), (np.arange(2),))]))
