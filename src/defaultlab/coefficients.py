@@ -41,7 +41,6 @@ __all__ = [
     "evaluate_f",
     "evaluate_f_x",
     "build_y",
-    "check_pair_conditions",
 ]
 
 
@@ -725,39 +724,46 @@ def build_y(
 
 # ---------------------------------------------------------------------------
 # pair conditions (i)(ii)(iii)
+#
+# (i)   dm - f(X)'dY / (pS - X-) > -1          where pS != X-
+# (ii)  dm + f(X)'dY / X-        >= -1         where X- != 0
+# (iii) dm + (f(X) - f(X'))'dY / (X- - X'-) >= -1   where X- != X'-
+#
+# plus the equivalent one-step-map monotonicity form of (iii).  Each slack
+# function works on child/path-level arrays of any shape that broadcast,
+# so a stacked (members, states) step is checked in one call.
 
 _CONDITIONS = ("condition_i", "condition_ii", "condition_iii")
 
 
 def _new_condition_agg():
-    """Empty running aggregate of pair-condition reports."""
+    """Empty running aggregate of pair-condition slacks: per condition the
+    states checked, the smallest slack (None if nothing was checked) and
+    the violations below -1e-12, plus ``agree``, whether the one-step-map
+    form of (iii) agreed with the quotient form everywhere."""
     agg = {key: {"checked": 0, "min_slack": None, "violations": 0} for key in _CONDITIONS}
     agg["agree"] = True
     return agg
 
 
-def _fold_conditions(agg, rep):
-    """Fold one `check_pair_conditions` report into a running aggregate."""
-    for key in _CONDITIONS:
-        sub = rep[key]
-        if sub["checked"]:
-            slot = agg[key]
-            slot["checked"] += sub["checked"]
-            slot["violations"] += sub["violations"]
-            ms = sub["min_slack"]
-            slot["min_slack"] = ms if slot["min_slack"] is None else min(slot["min_slack"], ms)
-    agg["agree"] = agg["agree"] and rep["monotone_map_agrees"]
+def _fold_slack(slot, cond):
+    """Fold one ``(slack, ok)`` pair into a condition slot of the aggregate."""
+    slack, ok = cond
+    checked = int(np.count_nonzero(ok))
+    if checked:
+        slot["checked"] += checked
+        slot["violations"] += int(np.count_nonzero(slack < -1e-12))
+        ms = float(slack.min())
+        slot["min_slack"] = ms if slot["min_slack"] is None else min(slot["min_slack"], ms)
 
 
-def _condition_slacks(dm, ps, x, fdy, xp=None, fpdy=None, tiny=1e-12):
-    """Slacks of conditions (i)-(iii) at one step, child/path level.
+def _state_slacks(dm, ps, x, fdy, tiny=1e-12):
+    """Slacks of conditions (i) and (ii) at one step.
 
-    ``ps`` and ``x`` (and the partner's ``xp``) are lifted to the children;
-    ``fdy`` is f(X)'dY of the step.  Each condition gives ``(slack, ok)``:
-    the slack on every state, and the mask of states where its denominator
-    exceeds ``tiny``; elsewhere the slack reads +inf.  (iii) is None without
-    a partner.  The last entry tells whether the one-step-map form of (iii)
-    agrees with the quotient form wherever (iii) is checked.
+    ``ps`` and ``x`` are lifted to the children; ``fdy`` is f(X)'dY of the
+    step.  Each condition gives ``(slack, ok)``: the slack on every state,
+    and the mask of states where its denominator exceeds ``tiny``;
+    elsewhere the slack reads +inf.
     """
     one = 1.0 + dm
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -766,85 +772,23 @@ def _condition_slacks(dm, ps, x, fdy, xp=None, fpdy=None, tiny=1e-12):
         cond_i = (np.where(ok, one - fdy / denom, np.inf), ok)
         ok = np.abs(x) > tiny
         cond_ii = (np.where(ok, one + fdy / x, np.inf), ok)
-        if xp is None:
-            return cond_i, cond_ii, None, True
+    return cond_i, cond_ii
+
+
+def _pair_slacks(dm, x, fdy, image, xp, fpdy, image_p, tiny=1e-12):
+    """Slack of condition (iii) between a state and its partner at one step.
+
+    ``image`` and ``image_p`` are the solver's images (x + x dm) + f'dY of
+    the two states.  Returns ``(slack, ok)`` as `_state_slacks` does, and
+    whether the one-step-map form agrees with the quotient form wherever
+    (iii) is checked: the map is monotone between the two states iff the
+    slack is nonnegative.
+    """
+    one = 1.0 + dm
+    with np.errstate(divide="ignore", invalid="ignore"):
         denom = x - xp
         ok = np.abs(denom) > tiny
         slack = one + (fdy - fpdy) / denom
-        # equivalent form: the one-step map is monotone between the two
-        # states iff the slack is nonnegative
-        map_diff = (x + x * dm + fdy) - (xp + xp * dm + fpdy)
+        map_diff = image - image_p
         same = np.abs(map_diff - denom * slack) <= 1e-10 * (1.0 + np.abs(map_diff))
-    return cond_i, cond_ii, (np.where(ok, slack, np.inf), ok), bool(np.all(same | ~ok))
-
-
-def check_pair_conditions(pair, model, x_values, x_prime_values=None, window=None, tiny=1e-12):
-    """Pointwise admissibility report for a solution (and optional partner).
-
-    (i)   dm - f(X)'dY / (pS - X-) > -1          where pS != X-
-    (ii)  dm + f(X)'dY / X-        >= -1         where X- != 0 (strictness flagged)
-    (iii) dm + (f(X) - f(X'))'dY / (X- - X'-) >= -1   where X- != X'-
-
-    plus the equivalent one-step-map monotonicity form of (iii); the report
-    records whether the two forms agree.  Violations are counted below
-    -1e-12 slack; the function reports and never raises.
-    """
-    carrier = pair.carrier
-    grid = carrier.grid
-    lo, hi = window if window is not None else (1, grid.steps)
-    slack_i, slack_ii, slack_iii = [], [], []
-    strict_ii = True
-    agree = True
-    for k in range(lo, hi + 1):
-        t = grid.times[k]
-        dm = carrier.at(model.tilde_m_increments, k - 1)
-        ps_prev = carrier.at(model.pred_one_minus_z, k - 1)
-        dy = pair.y_step(k)
-        x_prev = carrier.at(x_values, k - 1)
-        fdy = _dot_components(carrier.lift(evaluate_f(pair.spec, t, x_prev, ps_prev)), dy)
-        xp_child = fpdy = None
-        if x_prime_values is not None:
-            xp_prev = carrier.at(x_prime_values, k - 1)
-            xp_child = carrier.lift(xp_prev)
-            fpdy = _dot_components(carrier.lift(evaluate_f(pair.spec, t, xp_prev, ps_prev)), dy)
-        cond_i, cond_ii, cond_iii, same = _condition_slacks(
-            dm, carrier.lift(ps_prev), carrier.lift(x_prev), fdy, xp_child, fpdy, tiny
-        )
-        slack, ok = cond_i
-        if np.any(ok):
-            slack_i.append(slack[ok])
-        slack, ok = cond_ii
-        if np.any(ok):
-            slack_ii.append(slack[ok])
-            strict_ii = strict_ii and bool(np.all(slack[ok] > 0.0))
-        if cond_iii is not None and np.any(cond_iii[1]):
-            slack_iii.append(cond_iii[0][cond_iii[1]])
-            agree = agree and same
-
-    def summarize(chunks):
-        if not chunks:
-            return {"checked": 0, "min_slack": None, "violations": 0}
-        allv = np.concatenate(chunks)
-        return {
-            "checked": int(allv.size),
-            "min_slack": float(allv.min()),
-            "violations": int(np.sum(allv < -1e-12)),
-        }
-
-    rep_i = summarize(slack_i)
-    rep_ii = summarize(slack_ii)
-    rep_iii = summarize(slack_iii)
-    passed = (
-        (rep_i["checked"] == 0 or rep_i["min_slack"] > 0.0)
-        and rep_ii["violations"] == 0
-        and rep_iii["violations"] == 0
-        and agree
-    )
-    return {
-        "condition_i": rep_i,
-        "condition_ii": rep_ii,
-        "condition_ii_strict": strict_ii,
-        "condition_iii": rep_iii,
-        "monotone_map_agrees": agree,
-        "pass": bool(passed),
-    }
+    return (np.where(ok, slack, np.inf), ok), bool(np.all(same | ~ok))

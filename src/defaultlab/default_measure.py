@@ -273,58 +273,61 @@ _TREE_TOL = 1e-10
 _MC_SIGMA_MULT = 3.0
 
 
-def _enlargement_tree(pair, model, family, mart, tol, atom_tol):
+def _cond_mean(tree, dg, dens, s0):
+    """Largest |E[dg dens | node] / E[dens | node]| (the bare E[dg dens | node]
+    where the atom has no mass)."""
+    s1 = tree.step_expectation(dg * dens)
+    return float(np.max(np.abs(np.where(s0 > 0.0, s1 / np.where(s0 > 0.0, s0, 1.0), s1))))
+
+
+def _enlargement_tree(pair, model, family, marts, tol, atom_tol):
     tree = pair.carrier
     n = tree.depth
     if list(family.u_indices) != list(range(n + 1)):
         raise ConfigurationError("tree enlargement check needs the full u grid")
-    entries = []
-    worst = 0.0
-    pre_parts, post_parts = [], []
+    runs = [{"entries": [], "worst": 0.0, "pre": [], "post": []} for _ in marts]
     for k in range(1, n + 1):
-        br = _step_brackets(pair, model, mart, k)
-        dx = mart.step_increments(k)
-        pre_lift = tree.lift(br["pre"])
-        pre_parts.append(br["pre"])
-        # the condition atoms at step k: every past cell v <= k-1, plus
-        # the aggregated future {tau >= k}; densities are family
-        # increments at level k
-        dg_pre = dx - pre_lift
+        # the condition atoms at step k: every past cell v <= k-1, plus the
+        # aggregated future {tau >= k}; densities are family increments at
+        # level k.  Kernels and densities do not depend on the martingale.
         dens_fut = 1.0 - family.values(k - 1)[k]
-        s1 = tree.step_expectation(dg_pre * dens_fut)
-        s0 = tree.step_expectation(dens_fut)
-        resid = float(np.max(np.abs(np.where(s0 > 0.0, s1 / np.where(s0 > 0.0, s0, 1.0), s1))))
-        entries.append({"step": k, "atom": "future", "residual": resid})
-        worst = max(worst, resid)
-        post_step = []
+        s0_fut = tree.step_expectation(dens_fut)
+        kerns, dens = [], []
         for v in range(k):
-            kern = p_kernel(pair.spec, family, k, v, atom_tol=atom_tol)
-            kby = 0.0
-            for j in range(pair.m):
-                kby = kby + kern[j] * br["byx"][j]
-            post = br["post_base"] + kby
-            post_step.append(post)
-            dg_post = dx - tree.lift(post)
-            hi = family.values(v)[k]
+            kerns.append(p_kernel(pair.spec, family, k, v, atom_tol=atom_tol))
             lo = family.values(v - 1)[k] if v > 0 else 0.0
-            dens = hi - lo
-            s1 = tree.step_expectation(dg_post * dens)
-            s0 = tree.step_expectation(dens)
-            resid = float(
-                np.max(np.abs(np.where(s0 > 0.0, s1 / np.where(s0 > 0.0, s0, 1.0), s1)))
-            )
-            entries.append({"step": k, "atom": f"cell_{v}", "residual": resid})
-            worst = max(worst, resid)
-        post_parts.append(post_step)
-    return EnlargementReport(
-        kind="tree",
-        martingale=mart.name,
-        tol=tol,
-        entries=entries,
-        max_residual=worst,
-        passed=worst <= tol,
-        extras={"pre_parts": pre_parts, "post_parts": post_parts},
-    )
+            d = family.values(v)[k] - lo
+            dens.append((d, tree.step_expectation(d)))
+        for mart, run in zip(marts, runs):
+            br = _step_brackets(pair, model, mart, k)
+            dx = mart.step_increments(k)
+            run["pre"].append(br["pre"])
+            resid = _cond_mean(tree, dx - tree.lift(br["pre"]), dens_fut, s0_fut)
+            run["entries"].append({"step": k, "atom": "future", "residual": resid})
+            run["worst"] = max(run["worst"], resid)
+            post_step = []
+            for v, (kern, (d, s0)) in enumerate(zip(kerns, dens)):
+                kby = 0.0
+                for j in range(pair.m):
+                    kby = kby + kern[j] * br["byx"][j]
+                post = br["post_base"] + kby
+                post_step.append(post)
+                resid = _cond_mean(tree, dx - tree.lift(post), d, s0)
+                run["entries"].append({"step": k, "atom": f"cell_{v}", "residual": resid})
+                run["worst"] = max(run["worst"], resid)
+            run["post"].append(post_step)
+    return [
+        EnlargementReport(
+            kind="tree",
+            martingale=mart.name,
+            tol=tol,
+            entries=run["entries"],
+            max_residual=run["worst"],
+            passed=run["worst"] <= tol,
+            extras={"pre_parts": run["pre"], "post_parts": run["post"]},
+        )
+        for mart, run in zip(marts, runs)
+    ]
 
 
 def _default_functionals(bundle, model, mart, samples, anchors):
@@ -448,13 +451,15 @@ def enlargement_compensators(
 ) -> list:
     """`enlargement_compensator` for each test martingale of ``marts``.
 
-    On bundles one pass over the default-cell density states serves every
-    martingale, so f is evaluated once per step whatever their number; the
-    reports equal the one-at-a-time ones bitwise.
+    One pass serves every martingale.  On trees each kernel p_kernel(k, v)
+    and each cell density is computed once for all of them; on bundles one
+    pass over the default-cell density states evaluates f once per step
+    whatever their number.  The reports equal the one-at-a-time ones
+    bitwise.
     """
     if isinstance(pair.carrier, ScenarioTree):
         tol = _TREE_TOL if tol is None else tol
-        return [_enlargement_tree(pair, model, family, mart, tol, atom_tol) for mart in marts]
+        return _enlargement_tree(pair, model, family, marts, tol, atom_tol)
     if samples is None:
         raise ConfigurationError("bundle enlargement check needs sampled defaults")
     tol = _MC_SIGMA_MULT if tol is None else tol

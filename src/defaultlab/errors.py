@@ -34,4 +34,12 @@ class InvalidFamilyError(DefaultLabError):
 
 
 class SolverInconsistencyError(DefaultLabError):
-    """An exact invariant failed on the oracle, indicating a solver bug."""
+    """An exact invariant failed on the oracle, indicating a solver bug.
+
+    ``report`` is the invariant report of the family that failed, when a
+    family verification raised: every check with its worst violation.
+    """
+
+    def __init__(self, message: str, report: dict | None = None):
+        super().__init__(message)
+        self.report = report

@@ -21,26 +21,33 @@ identity
     (1 - Z_k) - one step from 1 - Z_{k-1} = kappa_k * dA_k,
     kappa_k = (1 + dm_k) - (1 - Z_{k-1}) g(t_k, 1 - Z_{k-1})' dY_k.
 
-`build_family` is one pass: it solves each member once, evaluating f once
-per (member, step), and on a bundle folds in from the same states and f'dY
-both the pathwise invariants and the slacks of the pair conditions
-(i)-(iii) over adjacent members plus one wide witness pair.  The Monte
-Carlo suite reads that aggregate from ``MartingaleFamily.conditions``
-instead of solving the members again and re-evaluating f on them.
+`build_family` is one step-major pass on both carriers.  Every requested
+member advances together as one stacked state, (members, nodes) per tree
+level or (members, paths) on a bundle, row i holding member u_indices[i]
+once it has started.  Each step is processed in fixed blocks of at most
+`_BLOCK` children or paths, so the temporaries stay a few hundred kB
+whatever the carrier width.  f and f'dY are evaluated once per (member,
+step), and that step's arrays feed the solver update, the pathwise bundle
+invariants as per-step max reductions, and, when ``conditions=`` asks for
+it, the fold of the pair conditions (i)-(iii), in which (iii) is a
+difference along the member axis.  Every operation is elementwise or an
+order-free min, max or count, so the pass gives bitwise the numbers of
+solving and checking member by member.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coefficients import (
-    _CONDITIONS,
-    _condition_slacks,
     _dot_components,
-    _fold_conditions,
+    _fold_slack,
     _new_condition_agg,
+    _pair_slacks,
+    _state_slacks,
     evaluate_f,
     evaluate_f_x,
 )
@@ -78,30 +85,12 @@ def _advance(x, dm, f, dy):
 
 
 def _step(pair, model, k: int, x_prev):
-    """Map the state at k-1 to the state at k; also return its f'dY."""
+    """Map the state at k-1 to the state at k."""
     carrier = pair.carrier
     ps = carrier.at(model.pred_one_minus_z, k - 1)
     f = evaluate_f(pair.spec, carrier.grid.times[k], x_prev, ps)
     dm = carrier.at(model.tilde_m_increments, k - 1)
-    return _advance(carrier.lift(x_prev), dm, carrier.lift(f), pair.y_step(k))
-
-
-def _solve(pair, model, u: int, x, keep_fdy: bool = False):
-    """solve_natural's recursion; with ``keep_fdy`` also the per-step f'dY
-    as a carrier step object (entries before step u + 1 unset)."""
-    carrier = pair.carrier
-    n = carrier.grid.steps
-    if not 0 <= u <= n:
-        raise ConfigurationError(f"start index {u} outside grid")
-    out = carrier.alloc(n + 1)
-    fdy = carrier.alloc(n) if keep_fdy else None
-    carrier.put(out, u, _start_level(pair, x, carrier.n_nodes(u)))
-    for k in range(u + 1, n + 1):
-        x_next, fdy_k = _step(pair, model, k, carrier.at(out, k - 1))
-        carrier.put(out, k, x_next)
-        if keep_fdy:
-            carrier.put(fdy, k - 1, fdy_k)
-    return out, fdy
+    return _advance(carrier.lift(x_prev), dm, carrier.lift(f), pair.y_step(k))[0]
 
 
 def solve_natural(pair, model, u: int, x):
@@ -111,7 +100,15 @@ def solve_natural(pair, model, u: int, x):
     return a (paths, steps+1) array with nan below u.  The start column is
     the given x bitwise.
     """
-    return _solve(pair, model, u, x)[0]
+    carrier = pair.carrier
+    n = carrier.grid.steps
+    if not 0 <= u <= n:
+        raise ConfigurationError(f"start index {u} outside grid")
+    out = carrier.alloc(n + 1)
+    carrier.put(out, u, _start_level(pair, x, carrier.n_nodes(u)))
+    for k in range(u + 1, n + 1):
+        carrier.put(out, k, _step(pair, model, k, carrier.at(out, k - 1)))
+    return out
 
 
 @dataclass
@@ -122,8 +119,8 @@ class MartingaleFamily:
     (paths, steps+1) array on bundles); ``terminal(u)`` its final slice.
     The full-mass member is identically one and exposed separately since
     it carries the beyond-horizon atom.  ``report`` holds the invariant
-    verification; ``conditions`` (bundles) the pair-condition aggregate
-    folded in during the solve (see `_PairConditionFold`).
+    verification; ``conditions`` the pair-condition aggregate folded in
+    during the pass when `build_family` was asked for one, else None.
     """
 
     pair: object
@@ -157,169 +154,153 @@ class MartingaleFamily:
         return np.ones_like(np.asarray(self.terminal(self.u_indices[-1])))
 
 
-class _PathwiseFamilyCheck:
-    """Pathwise bundle invariants, folded in member by member as solved.
+_BLOCK = 2048  # children or paths per block of the family pass
+_FOLDS = (None, "adjacent", "all")
+_PATHWISE = ("starts_at_one_minus_z", "nonnegative", "bounded_by_one_minus_z", "nondecreasing_in_u")
 
-    Only the previous member stays referenced, so the check costs one extra
-    solution whatever the storage mode.  The martingale property is not
-    checked pathwise; the Monte Carlo suites test it statistically.
+
+def _fold_invariants(worst, x, s, new):
+    """Fold a block of one level of the stacked state into the pathwise
+    worst cases; rows from ``new`` on are members starting at this level."""
+    worst["starts_at_one_minus_z"] = max(
+        worst["starts_at_one_minus_z"], float(np.max(np.abs(x[new:] - s), initial=0.0))
+    )
+    worst["nonnegative"] = max(worst["nonnegative"], float(np.max(-x)))
+    worst["bounded_by_one_minus_z"] = max(worst["bounded_by_one_minus_z"], float(np.max(x - s)))
+    worst["nondecreasing_in_u"] = max(
+        worst["nondecreasing_in_u"], float(np.max(x[:-1] - x[1:], initial=0.0))
+    )
+
+
+def _fold_conditions(agg, mode, witness, dm, ps, x, fdy, image):
+    """Fold one step's pair-condition slacks of the active members (rows).
+
+    Each member gives (i) and (ii) once per step.  (iii) pairs every row
+    with the row before it under "adjacent", plus the ``witness`` rows
+    (member N // 2, member 0): any pair quotient is a gap-weighted mean of
+    adjacent ones, so adjacent strictness is the binding case.  Under
+    "all" every row is paired with every row before it.
     """
-
-    def __init__(self, model):
-        self.s = model.s
-        self.n = model.grid.steps
-        names = ("starts_at_one_minus_z", "nonnegative", "bounded_by_one_minus_z")
-        self.worst = dict.fromkeys(names + ("nondecreasing_in_u",), 0.0)
-        self.prev = None
-        self.normalization = None
-
-    def add(self, u, sol):
-        s, worst = self.s, self.worst
-        worst["starts_at_one_minus_z"] = max(
-            worst["starts_at_one_minus_z"], float(np.max(np.abs(sol[:, u] - s[:, u])))
-        )
-        window = sol[:, u:]
-        worst["nonnegative"] = max(worst["nonnegative"], float(np.max(-window)))
-        worst["bounded_by_one_minus_z"] = max(
-            worst["bounded_by_one_minus_z"], float(np.max(window - s[:, u:]))
-        )
-        if self.prev is not None:
-            worst["nondecreasing_in_u"] = max(
-                worst["nondecreasing_in_u"], float(np.max(self.prev[:, u:] - sol[:, u:]))
-            )
-        if u == self.n:
-            self.normalization = float(np.max(np.abs(sol[:, u] + (1.0 - s[:, u]) - 1.0)))
-        self.prev = sol
-
-    def report(self, tol):
-        worst = dict(self.worst)
-        if self.normalization is not None:
-            worst["terminal_normalization"] = self.normalization
-        checks = [
-            {"name": name, "max_violation": val, "pass": val <= tol} for name, val in worst.items()
-        ]
-        return {"checks": checks, "pass": all(c["pass"] for c in checks)}
+    cond_i, cond_ii = _state_slacks(dm, ps, x, fdy)
+    _fold_slack(agg["condition_i"], cond_i)
+    _fold_slack(agg["condition_ii"], cond_ii)
+    rows = x.shape[0]
+    if mode == "adjacent":
+        pairs = [(slice(1, rows), slice(0, rows - 1))]
+        if witness is not None and witness[0] < rows:
+            pairs.append(witness)
+    else:
+        pairs = [(i, slice(0, i)) for i in range(1, rows)]
+    for i, j in pairs:
+        cond, same = _pair_slacks(dm, x[i], fdy[i], image[i], x[j], fdy[j], image[j])
+        _fold_slack(agg["condition_iii"], cond)
+        agg["agree"] = agg["agree"] and same
 
 
-class _PairConditionFold:
-    """Slacks of pair conditions (i)-(iii), folded in member by member as solved.
-
-    Each member u is checked over its own steps u + 1..N from the f'dY its
-    solve produced, so no f is evaluated again: (i) and (ii) on the member,
-    and (iii) against the previous member of the u grid (the first member
-    is checked alone).  The member at N // 2 is checked once more in (iii)
-    only, against the member at 0, a wide witness pair; any pair quotient is
-    a gap-weighted mean of adjacent ones, so adjacent strictness is the
-    binding case.  The aggregate is what `check_pair_conditions` reports for
-    those (member, partner) calls, folded, with each member's (i) and (ii)
-    counted once: per condition the states checked, the smallest slack (None
-    if nothing was checked) and the violations below -1e-12, plus ``agree``,
-    whether the one-step-map form of (iii) agreed everywhere.
-    Only the previous member, and the member at 0 until the witness pair is
-    checked, stay referenced.
-    """
-
-    def __init__(self, pair, model, u_indices):
-        self.pair, self.model = pair, model
-        n = pair.carrier.grid.steps
-        mid = n // 2
-        self.mid = mid if mid >= 1 and 0 in u_indices and mid in u_indices else None
-        self.prev = self.zero = None
-        self.agg = _new_condition_agg()
-
-    def add(self, u, sol, fdy):
-        carrier, model = self.pair.carrier, self.model
-        partners = [self.prev]
-        if u == self.mid:
-            partners.append(self.zero)
-        for k in range(u + 1, carrier.grid.steps + 1):
-            dm = carrier.at(model.tilde_m_increments, k - 1)
-            ps = carrier.lift(carrier.at(model.pred_one_minus_z, k - 1))
-            x = carrier.lift(carrier.at(sol, k - 1))
-            for witness, partner in enumerate(partners):
-                xp = fpdy = None
-                if partner is not None:
-                    xp = carrier.lift(carrier.at(partner[0], k - 1))
-                    fpdy = carrier.at(partner[1], k - 1)
-                conds = _condition_slacks(dm, ps, x, carrier.at(fdy, k - 1), xp, fpdy)
-                # the witness pair adds only (iii); the member's own pair gave (i)/(ii)
-                self._fold(*((None, None) + conds[2:] if witness else conds))
-        if u == 0 and self.mid is not None:
-            self.zero = (sol, fdy)
-        if u == self.mid:
-            self.zero = None
-        self.prev = (sol, fdy)
-
-    def _fold(self, cond_i, cond_ii, cond_iii, agree):
-        # the step's report in check_pair_conditions' form; unchecked
-        # states read +inf, so they never set the minimum or a violation
-        rep = {"monotone_map_agrees": agree}
-        for key, cond in zip(_CONDITIONS, (cond_i, cond_ii, cond_iii)):
-            checked = 0 if cond is None else int(np.count_nonzero(cond[1]))
-            rep[key] = {
-                "checked": checked,
-                "min_slack": float(cond[0].min()) if checked else None,
-                "violations": int(np.count_nonzero(cond[0] < -1e-12)) if checked else 0,
-            }
-        _fold_conditions(self.agg, rep)
-
-
-def build_family(pair, model, u_indices=None, tol: float = 1e-12, keep: str = "full") -> MartingaleFamily:
+def build_family(
+    pair, model, u_indices=None, tol: float = 1e-12, keep: str = "full", conditions=None
+) -> MartingaleFamily:
     """Solve M^u from (u, 1 - Z_u) for each requested u and verify invariants.
 
+    One step-major pass (see the module docstring) solves every member.
     On a tree the full axiom battery (including the exact martingale
-    property through the enumeration oracle) runs and any violation beyond
-    `tol` raises; on bundles the pathwise invariants (start value, bounds,
-    monotonicity in u, terminal normalization) are hard assertions at the
-    same tolerance, checked on each member as it is solved, while
+    property through the enumeration oracle) runs afterwards; on bundles
+    the pathwise invariants (start value, bounds, monotonicity in u,
+    terminal normalization) are folded in during the pass, while
     martingale-property checks are statistical and live in the Monte Carlo
-    suites.  ``u_indices`` defaults to the whole grid.  ``keep="terminal"``
-    (bundles only) stores just the terminal slice per u to bound memory on
-    wide bundles; every invariant is still checked on the full solution
-    before it is dropped.  On bundles the same pass also folds the slacks
-    of pair conditions (i)-(iii) into ``conditions`` (see
-    `_PairConditionFold`); trees leave it None.
+    suites.  A violation beyond `tol` raises `SolverInconsistencyError`
+    carrying the report.  ``u_indices`` defaults to the whole grid.
+    ``keep="terminal"`` (bundles only) stores just the terminal slice per
+    u; the pass holds two levels of the stacked state, never a member's
+    trajectory.  ``conditions`` folds the slacks of pair conditions
+    (i)-(iii) into ``MartingaleFamily.conditions``: "adjacent" checks each
+    member with the one before it plus the witness pair (N // 2, 0), "all"
+    every ordered pair; None (the default) folds nothing.
     """
     carrier = pair.carrier
     n = carrier.grid.steps
     if u_indices is None:
         u_indices = list(range(n + 1))
-    u_indices = sorted(int(u) for u in u_indices)
-    if not u_indices:
+    us = sorted(int(u) for u in u_indices)
+    if not us:
         raise ConfigurationError("a family needs at least one u index")
-    if u_indices[0] < 0 or u_indices[-1] > n:
+    if us[0] < 0 or us[-1] > n:
         raise ConfigurationError("u indices outside the grid")
     if keep not in ("full", "terminal"):
         raise ConfigurationError(f"unknown storage mode {keep!r}")
+    if conditions not in _FOLDS:
+        raise ConfigurationError(f"unknown pair-condition fold {conditions!r}")
     exact = isinstance(carrier, ScenarioTree)
     if keep == "terminal" and exact:
         raise ConfigurationError("terminal storage is a bundle option")
-    pathwise = None if exact else _PathwiseFamilyCheck(model)
-    conditions = None if exact else _PairConditionFold(pair, model, u_indices)
-    values, terminal = {}, {}
-    for u in u_indices:
-        sol, fdy = _solve(pair, model, u, carrier.at(model.s, u), keep_fdy=not exact)
-        if not exact:
-            pathwise.add(u, sol)
-            conditions.add(u, sol, fdy)
+    worst = None if exact else dict.fromkeys(_PATHWISE, 0.0)
+    agg = None if conditions is None else _new_condition_agg()
+    witness = None
+    if conditions == "adjacent" and n // 2 >= 1 and 0 in us and n // 2 in us:
+        witness = (us.index(n // 2), us.index(0))
+    values = {u: carrier.alloc(n + 1) for u in us} if keep == "full" else {}
+
+    spec = pair.spec
+    x_prev, active = None, 0
+    for k in range(us[0], n + 1):
+        # rows [active, started) start at level k; the rows before advance
+        started = bisect.bisect_right(us, k)
+        s_k = carrier.at(model.s, k)
+        x_k = np.empty((started, carrier.n_nodes(k)))
+        x_k[active:] = _start_level(pair, s_k, carrier.n_nodes(k))
+        if active:
+            t = carrier.grid.times[k]
+            ps = carrier.at(model.pred_one_minus_z, k - 1)
+            dm = carrier.at(model.tilde_m_increments, k - 1)
+            dy = pair.y_step(k)
+            fan = carrier.n_nodes(k) // carrier.n_nodes(k - 1)
+            per = max(1, _BLOCK // fan)
+            for lo in range(0, carrier.n_nodes(k - 1), per):
+                par, ch = slice(lo, lo + per), slice(lo * fan, (lo + per) * fan)
+                x = x_prev[:, par]
+                f = evaluate_f(spec, t, x, ps[par])
+                x = carrier.lift(x)
+                image, fdy = _advance(x, dm[ch], carrier.lift(f), dy[:, ch])
+                x_k[:active, ch] = image
+                if worst is not None:
+                    _fold_invariants(worst, x_k[:, ch], s_k[ch], active)
+                if agg is not None:
+                    _fold_conditions(
+                        agg, conditions, witness, dm[ch], carrier.lift(ps[par]), x, fdy, image
+                    )
+        elif worst is not None:
+            _fold_invariants(worst, x_k, s_k, 0)
         if keep == "full":
-            values[u] = sol
-        else:
-            terminal[u] = carrier.at(sol, n).copy()
+            for i in range(started):
+                carrier.put(values[us[i]], k, x_k[i])
+        x_prev, active = x_k, started
+    terminal = {} if keep == "full" else {u: x_prev[i] for i, u in enumerate(us)}
+
     family = MartingaleFamily(
         pair=pair,
         model=model,
-        u_indices=u_indices,
+        u_indices=us,
         values_by_u=values,
         storage=keep,
         terminal_by_u=terminal,
-        conditions=None if exact else conditions.agg,
+        conditions=agg,
     )
-    family.report = verify_im_axioms(carrier, family, tol=tol) if exact else pathwise.report(tol)
+    if exact:
+        family.report = verify_im_axioms(carrier, family, tol=tol)
+    else:
+        if us[-1] == n:
+            worst["terminal_normalization"] = float(
+                np.max(np.abs(x_prev[-1] + (1.0 - carrier.at(model.s, n)) - 1.0))
+            )
+        checks = [
+            {"name": name, "max_violation": val, "pass": val <= tol} for name, val in worst.items()
+        ]
+        family.report = {"checks": checks, "pass": all(c["pass"] for c in checks)}
     if not family.report["pass"]:
-        worst = max(c["max_violation"] for c in family.report["checks"])
+        bad = max(c["max_violation"] for c in family.report["checks"])
         raise SolverInconsistencyError(
-            f"family invariant violation {worst:.3e} beyond tolerance {tol:.1e}"
+            f"family invariant violation {bad:.3e} beyond tolerance {tol:.1e}",
+            report=family.report,
         )
     return family
 
@@ -363,7 +344,7 @@ def flow_solve(pair, model, u: int, x) -> Flow:
         fx = evaluate_f_x(pair.spec, grid.times[k], x_prev, ps)
         fxdy = _dot_components(carrier.lift(fx), pair.y_step(k))
         dm = carrier.at(model.tilde_m_increments, k - 1)
-        carrier.put(vals, k, _step(pair, model, k, x_prev)[0])
+        carrier.put(vals, k, _step(pair, model, k, x_prev))
         carrier.put(der, k, carrier.lift(carrier.at(der, k - 1)) * ((1.0 + dm) + fxdy))
     return Flow(pair=pair, model=model, u=u, x0=x, values=vals, deriv=der)
 
@@ -394,7 +375,7 @@ def one_step_atom_residuals(pair, model):
     out = np.empty(n)
     for k in range(1, n + 1):
         kap = kappa_values(pair, model, k)
-        image = _step(pair, model, k, carrier.at(model.s, k - 1))[0]
+        image = _step(pair, model, k, carrier.at(model.s, k - 1))
         diff = carrier.at(model.s, k) - image
         da = carrier.lift(carrier.at(model.a_increments, k - 1))
         out[k - 1] = float(np.max(np.abs(diff - kap * da)))

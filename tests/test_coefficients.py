@@ -11,7 +11,6 @@ from defaultlab.coefficients import (
     ComponentSpec,
     PlateauSpec,
     build_y,
-    check_pair_conditions,
     evaluate_f,
     evaluate_f_x,
     smooth_clamp,
@@ -24,6 +23,7 @@ from defaultlab.grids import TimeGrid, sample_bundle, three_branch_model
 from defaultlab.survival import ZGeneratorConfig, generate_z
 from defaultlab.tree import ScenarioTree
 from margin_scan import jump_set_margin
+from pair_conditions import check_pair_conditions
 
 
 def wide_plateau_spec(height=1.0):

@@ -10,10 +10,9 @@ from defaultlab.coefficients import (
     ComponentSpec,
     PlateauSpec,
     build_y,
-    check_pair_conditions,
     evaluate_f,
 )
-from defaultlab import coefficients, suites
+from defaultlab import family as family_mod, suites
 from defaultlab.errors import ConfigurationError, GridMismatchError, SolverInconsistencyError
 from defaultlab.family import (
     build_family,
@@ -26,6 +25,7 @@ from defaultlab.family import (
 from defaultlab.grids import TimeGrid, sample_bundle, three_branch_model
 from defaultlab.survival import ZGeneratorConfig, generate_z
 from defaultlab.tree import ScenarioTree, build_product_measure
+from pair_conditions import reference_conditions
 
 
 def mixed_spec():
@@ -202,59 +202,75 @@ def test_empty_u_grid_is_refused_on_both_carriers():
             build_family(pair, model, u_indices=[])
 
 
-def rolling_sweep(pair, model):
-    # the pair-condition sweep of mc_suite without the fused family pass:
-    # every member solved again and checked through check_pair_conditions,
-    # adjacent pairs plus the witness pair (n // 2, 0), whose member's (i)
-    # and (ii) are already counted, so only its (iii) is folded
-    s, n = model.s, pair.carrier.grid.steps
-    agg = coefficients._new_condition_agg()
-    sols = [solve_natural(pair, model, u, s[:, u]) for u in range(n)]
-    rep = check_pair_conditions(pair, model, sols[0], None, window=(1, n))
-    coefficients._fold_conditions(agg, rep)
-    for u in range(1, n):
-        rep = check_pair_conditions(pair, model, sols[u], sols[u - 1], window=(u + 1, n))
-        coefficients._fold_conditions(agg, rep)
-    mid = n // 2
-    if mid >= 1:
-        rep = check_pair_conditions(pair, model, sols[mid], sols[0], window=(mid + 1, n))
-        unchecked = {"checked": 0, "min_slack": None, "violations": 0}
-        coefficients._fold_conditions(agg, {**rep, "condition_i": unchecked, "condition_ii": unchecked})
-    return agg
-
-
 def test_fused_pair_conditions_equal_the_rolling_sweep():
     for steps in (1, 2, 7, 8):
         bundle, model, pair = bundle_setup(steps=steps, n_paths=300)
-        want = rolling_sweep(pair, model)
+        want = reference_conditions(pair, model, "adjacent")
         for keep in ("full", "terminal"):
-            assert build_family(pair, model, keep=keep).conditions == want
+            assert build_family(pair, model, keep=keep, conditions="adjacent").conditions == want
         assert want["condition_i"]["checked"] > 0 and want["agree"]
         if steps > 1:
             assert want["condition_iii"]["checked"] > 0
             assert want["condition_iii"]["violations"] == 0
     # each member's (i) states counted once: 300 paths on sum_{u<8} (8 - u) steps
     assert want["condition_i"]["checked"] == 300 * 36
+    assert build_family(pair, model).conditions is None
     tree, model, pair = tree_setup(steps=3)
     assert build_family(pair, model).conditions is None
+    with pytest.raises(ConfigurationError):
+        build_family(pair, model, conditions="pairs")
+
+
+@pytest.mark.parametrize("n_paths", [1, family_mod._BLOCK - 1, family_mod._BLOCK + 1])
+def test_family_pass_matches_member_by_member_across_block_edges(n_paths):
+    bundle, model, pair = bundle_setup(steps=3, n_paths=n_paths)
+    fam = build_family(pair, model, keep="terminal", conditions="adjacent")
+    for u in fam.u_indices:
+        want = solve_natural(pair, model, u, model.s[:, u])[:, -1]
+        np.testing.assert_array_equal(fam.terminal(u), want)
+    assert fam.conditions == reference_conditions(pair, model, "adjacent")
+    assert build_family(pair, model, conditions="all").conditions == reference_conditions(
+        pair, model, "all"
+    )
+
+
+@pytest.mark.parametrize("with_coin", [False, True])
+def test_all_pairs_fold_on_a_tree_equals_the_per_pair_sweep(with_coin):
+    grid = TimeGrid(horizon=1.0, steps=4)
+    tree = ScenarioTree(grid, three_branch_model(with_coin=with_coin))
+    model = generate_z(ZGeneratorConfig(z0=0.5, rate=0.3, sigma=0.5, jump_scale=0.3), tree)
+    pair = build_y(mixed_spec(), model, seed=3)
+    fam = build_family(pair, model, conditions="all")
+    want = reference_conditions(pair, model, "all")
+    assert fam.conditions == want
+    # (i) once per member state: sum over u < 4 of the nodes of levels u + 1..4
+    b = tree.branching
+    assert want["condition_i"]["checked"] == sum(b**k for u in range(4) for k in range(u + 1, 5))
+    assert want["condition_iii"]["checked"] > 0 and want["agree"]
+    # the stored members are solve_natural's, bitwise
+    for u in fam.u_indices:
+        for k, level in enumerate(solve_natural(pair, model, u, model.s[u])):
+            if k >= u:
+                np.testing.assert_array_equal(fam.values(u)[k], level)
 
 
 def test_fused_pair_conditions_see_a_seeded_defect():
     # Y increments scaled up 10x at step 4 break the pair conditions: the
-    # fused aggregate and the rolling sweep must both count violations (the
-    # family invariants would refuse the family, so their tolerance is
-    # lifted to read the aggregate)
+    # fused aggregate and the member-by-member sweep must both count
+    # violations under either fold (the family invariants would refuse the
+    # family, so their tolerance is lifted to read the aggregate)
     bundle, model, pair = bundle_setup(steps=8, n_paths=300)
     bad_y = pair.y_increments.copy()
     bad_y[:, :, 3] *= 10.0
     bad = dataclasses.replace(pair, y_increments=bad_y)
     with pytest.raises(SolverInconsistencyError):
         build_family(bad, model)
-    fused = build_family(bad, model, tol=np.inf).conditions
-    assert fused == rolling_sweep(bad, model)
-    assert fused["condition_i"]["violations"] > 0
-    assert fused["condition_iii"]["violations"] > 0
-    assert not all(row["pass"] for row in suites._condition_rows(fused))
+    for mode in ("adjacent", "all"):
+        fused = build_family(bad, model, tol=np.inf, conditions=mode).conditions
+        assert fused == reference_conditions(bad, model, mode)
+        assert fused["condition_i"]["violations"] > 0
+        assert fused["condition_iii"]["violations"] > 0
+        assert not all(row["pass"] for row in suites._condition_rows(fused))
 
 
 def test_family_negative_control_broken_drift_raises():

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from defaultlab import coefficients, default_measure, family
+from defaultlab import coefficients, default_measure, family, suites
 
 from defaultlab.config import default_config, validate_config
 from defaultlab.grids import TimeGrid, sample_bundle, three_branch_model
@@ -100,6 +101,75 @@ def test_mc_suite_evaluates_f_once_per_member_step(monkeypatch):
     activated = sum(r[2] for r in rows if 1 <= r[0] <= n)
     assert activated > 0
     assert sum(points) == p * sum(n - u for u in range(n)) + 2 * n * p + n * p + activated
+
+
+def test_tree_suite_evaluates_f_once_per_member_step(monkeypatch):
+    # the tree twin of the count gate above, at depth 4: f once per (member,
+    # step) in the family pass, whose own f'dY feeds the all-pairs fold;
+    # twice per (step k, cell v < k) for the enlargement kernels, shared by
+    # every test martingale; once per node and step in the one-step atom
+    # identity
+    cfg = small_cfg()
+    tree, model, pair = build_tree_world(cfg)
+    assert (tree.depth, tree.branching) == (4, 3)
+    points = []
+    real = coefficients.evaluate_f
+
+    def counted(spec, t, x, ps):
+        points.append(np.broadcast(np.asarray(x), np.asarray(ps)).size)
+        return real(spec, t, x, ps)
+
+    for mod in (coefficients, family, default_measure):
+        monkeypatch.setattr(mod, "evaluate_f", counted)
+    rep = tree_suite(tree, model, pair, cfg.tol_exact, atom_tol=cfg.atom_tol)
+    assert rep["pass"]
+    members = sum(k * 3 ** (k - 1) for k in range(1, 5))
+    atom = sum(3 ** (k - 1) for k in range(1, 5))
+    assert sum(points) == members + 2 * members + atom == 466
+
+
+@pytest.mark.parametrize("carrier", ["tree", "bundle"])
+def test_failed_family_writes_every_family_axiom_row(monkeypatch, carrier):
+    # members started 1e-9 above 1 - Z_u: the suites must still write each
+    # family_axioms/<name> row with its value and tolerance, the start row
+    # failing
+    cfg = small_cfg(mc={"paths": 300})
+    start = family._start_level
+    monkeypatch.setattr(family, "_start_level", lambda *args: start(*args) + 1e-9)
+    if carrier == "tree":
+        rep = tree_suite(*build_tree_world(cfg), cfg.tol_exact, atom_tol=cfg.atom_tol)
+        names = ["martingale", "nonnegative", "bounded_by_one_minus_z", "starts_at_one_minus_z",
+                 "nondecreasing_in_u", "terminal_normalization"]
+    else:
+        rep = mc_suite(*build_mc_world(cfg), cfg.seed)
+        names = ["starts_at_one_minus_z", "nonnegative", "bounded_by_one_minus_z",
+                 "nondecreasing_in_u", "terminal_normalization"]
+    assert not rep["pass"]
+    assert [c["name"] for c in rep["checks"]] == [f"family_axioms/{n}" for n in names]
+    row = check_map(rep)["family_axioms/starts_at_one_minus_z"]
+    assert not row["pass"] and row["tol"] == cfg.tol_exact
+    assert abs(row["value"] - 1e-9) < 1e-12
+    assert all(c["tol"] == cfg.tol_exact for c in rep["checks"])
+
+
+def test_sidak_level():
+    assert suites._sidak_level(3.0, 48) == pytest.approx(4.0277, abs=5e-5)
+    for sigma in (2.0, 3.0, 4.5):
+        assert suites._sidak_level(sigma, 1) == pytest.approx(sigma, rel=1e-12)
+    assert suites._sidak_level(3.0, 2) > 3.0
+
+
+def test_mc_suite_gates_the_enlargement_battery_family_wise():
+    cfg = small_cfg(mc={"paths": 300})
+    rep = mc_suite(*build_mc_world(cfg), cfg.seed, sigma_mult=3.0)
+    _, rows = rep["tables"]["enlargement"]
+    level = suites._sidak_level(3.0, len(rows))
+    names = check_map(rep)
+    for mart in ("diff", "sign(diff)jump"):
+        row = names[f"enlargement/{mart}_sigma_units"]
+        assert row["tol"] == level and row["pass"] == (row["value"] <= level)
+    assert names["tau_cdf_sigma_units"]["tol"] == 3.0
+    assert names["tau_beyond_sigma_units"]["tol"] == 3.0
 
 
 def test_mc_suite_all_pairs_subsumes_adjacent():
