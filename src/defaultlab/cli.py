@@ -36,7 +36,7 @@ import numpy as np
 from . import suites
 from .config import apply_overrides, default_config, load_config, validate_config
 from .default_measure import sample_tau
-from .errors import ConfigurationError, DefaultLabError
+from .errors import ConfigurationError, DefaultLabError, SolverInconsistencyError
 from .family import build_family
 from .grids import philox_stream
 from .ioutil import BlockTable, write_csv, write_json
@@ -107,14 +107,24 @@ def _cmd_verify_mc(cfg):
     return _emit(rep, cfg, "verify-mc")
 
 
+def _family(cfg, pair, model, **kw):
+    """The family at the run's exact tolerance and its family_axioms/* rows.
+
+    The family is None when an axiom fails; the rows then hold the report
+    of the failing pass, to be written as the run's only checks.
+    """
+    try:
+        family = build_family(pair, model, tol=cfg.tol_exact, **kw)
+    except SolverInconsistencyError as exc:
+        return None, suites._family_rows(exc.report, cfg.tol_exact)
+    return family, suites._family_rows(family.report, cfg.tol_exact)
+
+
 def _cmd_build_family(cfg):
     tree, model, pair = suites.build_tree_world(cfg)
-    family = build_family(pair, model, tol=cfg.tol_exact)
-    checks = [
-        {"name": f"family_axioms/{c['name']}", "value": c["max_violation"],
-         "tol": cfg.tol_exact, "pass": c["pass"]}
-        for c in family.report["checks"]
-    ]
+    family, checks = _family(cfg, pair, model)
+    if family is None:
+        return _emit(suites._suite("build-family", checks), cfg, "build-family")
 
     def blocks():
         for u in family.u_indices:
@@ -122,37 +132,17 @@ def _cmd_build_family(cfg):
             for k in range(u, tree.depth + 1):
                 yield (u, k), (np.arange(vals[k].size), vals[k])
 
-    rep = {
-        "suite": "build-family",
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-        "residuals": {c["name"]: c["value"] for c in checks},
-        "tables": {"family": (("u_index", "t_index", "node", "value"), BlockTable(blocks))},
-    }
-    return _emit(rep, cfg, "build-family")
+    table = (("u_index", "t_index", "node", "value"), BlockTable(blocks))
+    return _emit(suites._suite("build-family", checks, {"family": table}), cfg, "build-family")
 
 
 def _cmd_sample_tau(cfg):
     bundle, model, pair = suites.build_mc_world(cfg)
-    family = build_family(pair, model, tol=cfg.tol_exact, keep="terminal")
+    family, checks = _family(cfg, pair, model, keep="terminal")
+    if family is None:
+        return _emit(suites._suite("sample-tau", checks), cfg, "sample-tau")
     samples = sample_tau(family, model, philox_stream(cfg.seed, "tau-samples"))
-    n = bundle.grid.steps
-    expected = float(np.mean(1.0 - model.s[:, n]))
-    observed = float(np.mean(samples.beyond))
-    se = float(np.sqrt(max(expected * (1.0 - expected), 0.0) / samples.n_paths))
-    if se > 0.0:
-        units = abs(observed - expected) / se
-    else:
-        units = 0.0 if observed == expected else float("inf")
-    checks = [
-        {"name": f"family_axioms/{c['name']}", "value": c["max_violation"],
-         "tol": cfg.tol_exact, "pass": c["pass"]}
-        for c in family.report["checks"]
-    ]
-    checks.append(
-        {"name": "tau_beyond_sigma_units", "value": units,
-         "tol": cfg.sigma_multiplier, "pass": units <= cfg.sigma_multiplier}
-    )
+    checks.append(suites._tau_beyond_row(samples, model, cfg.sigma_multiplier))
     tau = samples.tau_u()
     columns = (
         np.arange(samples.n_paths),
@@ -160,19 +150,8 @@ def _cmd_sample_tau(cfg):
         np.where(tau >= 0, bundle.grid.times[tau], -1.0),
         samples.uniform,
     )
-    rep = {
-        "suite": "sample-tau",
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-        "residuals": {c["name"]: float(c["value"]) for c in checks},
-        "tables": {
-            "samples": (
-                ("path", "tau_index", "tau_time", "uniform"),
-                BlockTable(lambda: [((), columns)]),
-            )
-        },
-    }
-    return _emit(rep, cfg, "sample-tau")
+    table = (("path", "tau_index", "tau_time", "uniform"), BlockTable(lambda: [((), columns)]))
+    return _emit(suites._suite("sample-tau", checks, {"samples": table}), cfg, "sample-tau")
 
 
 def _cmd_regularity(cfg):
@@ -186,9 +165,11 @@ def _cmd_regularity(cfg):
 
 def _cmd_polarize(cfg):
     rep = suites.polarize_suite(n_paths=cfg.paths, seed=cfg.seed, tol_exact=cfg.tol_exact)
-    summary_extra = rep.pop("experiment")
+    # a family that fails its axioms leaves no experiment, only its rows
+    summary_extra = rep.pop("experiment", None)
     code = _emit(rep, cfg, "polarize")
-    write_json(os.path.join(cfg.out_dir, "polarize", "experiment.json"), summary_extra)
+    if summary_extra is not None:
+        write_json(os.path.join(cfg.out_dir, "polarize", "experiment.json"), summary_extra)
     return code
 
 

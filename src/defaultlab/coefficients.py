@@ -256,10 +256,6 @@ class CoefficientSpec:
     def m(self) -> int:
         return len(self.components)
 
-    @property
-    def is_autonomous(self) -> bool:
-        return all(c.time_affine[1] == 0.0 for c in self.components)
-
     def support(self):
         spans = [c.support() for c in self.components if c.support() is not None]
         if not spans:

@@ -19,14 +19,14 @@ from .errors import ConfigurationError
 from .grids import TimeGrid
 from .survival import ZGeneratorConfig
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _BLOCK_KEYS = {
     "grid": {"horizon", "steps"},
     "z": {"z0", "rate", "jump_time", "jump_size", "sigma", "jump_scale", "eps"},
-    "pair": {"m", "components", "scale", "ladder_depth", "x_resolution"},
-    "mc": {"paths", "seed", "batch"},
-    "tree": {"b", "depth", "with_coin"},
+    "pair": {"components", "scale", "ladder_depth", "x_resolution"},
+    "mc": {"paths", "seed"},
+    "tree": {"depth", "with_coin"},
     "tolerances": {"exact", "sigma_multiplier", "atom_tol"},
     "outputs": {"directory", "formats"},
 }
@@ -57,8 +57,8 @@ def default_config() -> dict:
             "ladder_depth": 10,
             "x_resolution": 2048,
         },
-        "mc": {"paths": 10000, "seed": 0, "batch": 0},
-        "tree": {"b": 3, "depth": 6, "with_coin": False},
+        "mc": {"paths": 10000, "seed": 0},
+        "tree": {"depth": 6, "with_coin": False},
         "tolerances": {"exact": 1e-12, "sigma_multiplier": 3.0, "atom_tol": 1e-12},
         "outputs": {"directory": "out", "formats": ["json", "csv"]},
     }
@@ -169,7 +169,6 @@ class RunConfig:
     ladder_depth: int
     paths: int
     seed: int
-    batch: int
     tree_depth: int
     with_coin: bool
     tol_exact: float
@@ -197,7 +196,10 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigurationError("config: expected a JSON object at the top level")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
-        _fail("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
+        _fail(
+            "schema_version",
+            f"expected {SCHEMA_VERSION}, got {version!r} (version 2 removed tree.b, mc.batch and pair.m)",
+        )
     allowed = set(_BLOCK_KEYS) | {"schema_version"}
     unknown = set(raw) - allowed
     if unknown:
@@ -231,10 +233,6 @@ def validate_config(raw: dict) -> RunConfig:
     if not isinstance(comps, list) or not comps:
         _fail("pair.components", "expected a nonempty list of component objects")
     components = tuple(_parse_component(i, c) for i, c in enumerate(comps))
-    if "m" in pb:
-        m = _integer("pair", "m", pb["m"], lo=1)
-        if m != len(components):
-            _fail("pair.m", f"m = {m} but {len(components)} components configured")
     x_res = _integer("pair", "x_resolution", pb.get("x_resolution", 2048), lo=16)
     try:
         spec = CoefficientSpec(components=components, x_resolution=x_res)
@@ -246,12 +244,8 @@ def validate_config(raw: dict) -> RunConfig:
     mb = _block(raw, "mc")
     paths = _integer("mc", "paths", mb.get("paths", 10000), lo=1)
     seed = _integer("mc", "seed", mb.get("seed", 0), lo=0)
-    batch = _integer("mc", "batch", mb.get("batch", 0), lo=0)
 
     tb = _block(raw, "tree")
-    b = _integer("tree", "b", tb.get("b", 3), lo=2)
-    if b != 3:
-        _fail("tree.b", "the shipped increment model is the three-branch lattice; b must be 3")
     depth = _integer("tree", "depth", tb.get("depth", 6), lo=1, hi=12)
     with_coin = tb.get("with_coin", False)
     if not isinstance(with_coin, bool):
@@ -284,7 +278,6 @@ def validate_config(raw: dict) -> RunConfig:
         ladder_depth=ladder_depth,
         paths=paths,
         seed=seed,
-        batch=batch,
         tree_depth=depth,
         with_coin=with_coin,
         tol_exact=tol_exact,

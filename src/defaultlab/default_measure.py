@@ -25,7 +25,7 @@ import numpy as np
 from .calculus import step_bracket
 from .coefficients import CoefficientSpec, ComponentSpec, PlateauSpec, build_y, evaluate_f, evaluate_f_x
 from .errors import ConfigurationError, GridMismatchError, InvalidFamilyError
-from .family import _advance, _lift_to, solve_natural
+from .family import _advance, _lift_to, build_family
 from .grids import TimeGrid, sample_bundle, three_branch_model
 from .survival import ZGeneratorConfig, generate_z
 from .tree import ScenarioTree
@@ -539,6 +539,7 @@ def polarization_experiment(
     seed: int = 0,
     n_bins: int = 20,
     scale_factor: float = 2.0,
+    tol: float = 1e-12,
 ) -> dict:
     """Long-horizon polarization of the family under exponential survival.
 
@@ -546,11 +547,13 @@ def polarization_experiment(
     e^{-t} would need Z_0 = 1, outside the open state space), the driving
     coefficient is identically one on the state range, so the solution is
     the logistic-drift martingale x (pS - x) dY.  For each horizon T the
-    report holds the histogram of M^u_T over (u, path) for a fixed set of
-    early u values and the fraction of mass inside [eta, 1 - eta]; the
-    family polarizes toward {0, 1} as T grows.  ``terminal_bound_violation``
-    holds, per horizon, the largest breach of the pathwise bounds
-    0 <= M^u_T <= 1 - Z_T over every (u, path); it is 0.0 on a valid family.
+    family of a fixed set of early u values is built in one `build_family`
+    pass, which raises `SolverInconsistencyError` when an axiom fails
+    beyond ``tol``.  The report holds the histogram of M^u_T over (u, path)
+    and the fraction of mass inside [eta, 1 - eta]; the family polarizes
+    toward {0, 1} as T grows.  ``terminal_bound_violation`` holds, per
+    horizon, the largest breach of the pathwise bounds 0 <= M^u_T <= 1 - Z_T
+    over every (u, path); it is 0.0 on a valid family.
     """
     if u_times is None:
         u_times = tuple(np.arange(0.0, 5.0, 0.5))
@@ -566,11 +569,8 @@ def polarization_experiment(
         model = generate_z(cfg, bundle)
         pair = build_y(spec, model, seed=seed, scale=scale_factor * float(np.sqrt(dt)))
         u_idx = [grid.index_of(u) for u in u_times]
-        terminals = []
-        for u in u_idx:
-            sol = solve_natural(pair, model, u, model.s[:, u])
-            terminals.append(sol[:, -1])
-        vals = np.concatenate(terminals)
+        family = build_family(pair, model, u_indices=u_idx, keep="terminal", tol=tol)
+        vals = np.concatenate([family.terminal(u) for u in u_idx])
         inside = float(np.mean((vals > eta) & (vals < 1.0 - eta)))
         fractions.append(inside)
         counts, _ = np.histogram(vals, bins=edges)

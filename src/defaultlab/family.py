@@ -21,18 +21,20 @@ identity
     (1 - Z_k) - one step from 1 - Z_{k-1} = kappa_k * dA_k,
     kappa_k = (1 + dm_k) - (1 - Z_{k-1}) g(t_k, 1 - Z_{k-1})' dY_k.
 
-`build_family` is one step-major pass on both carriers.  Every requested
-member advances together as one stacked state, (members, nodes) per tree
-level or (members, paths) on a bundle, row i holding member u_indices[i]
-once it has started.  Each step is processed in fixed blocks of at most
-`_BLOCK` children or paths, so the temporaries stay a few hundred kB
-whatever the carrier width.  f and f'dY are evaluated once per (member,
-step), and that step's arrays feed the solver update, the pathwise bundle
-invariants as per-step max reductions, and, when ``conditions=`` asks for
-it, the fold of the pair conditions (i)-(iii), in which (iii) is a
-difference along the member axis.  Every operation is elementwise or an
-order-free min, max or count, so the pass gives bitwise the numbers of
-solving and checking member by member.
+`build_family` is one step-major pass on both carriers, and the only code
+that checks a family.  Every requested member advances together as one
+stacked state, (members, nodes) per tree level or (members, paths) on a
+bundle, row i holding member u_indices[i] once it has started.  Each step
+is processed in fixed blocks of at most `_BLOCK` children or paths, so the
+temporaries stay a few hundred kB whatever the carrier width.  f and f'dY
+are evaluated once per (member, step), and that step's arrays feed the
+solver update, the family axioms as per-step max reductions, and, when
+``conditions=`` asks for it, the fold of the pair conditions (i)-(iii), in
+which (iii) is a difference along the member axis.  On a tree the axioms
+include the exact martingale property: a block holds whole sibling groups,
+so E[M^u_k | level k-1 node] - M^u_{k-1} is taken per parent inside it.
+Every operation is elementwise or an order-free min, max or count, so the
+pass gives bitwise the numbers of solving and checking member by member.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .coefficients import (
     evaluate_f_x,
 )
 from .errors import ConfigurationError, GridMismatchError, SolverInconsistencyError
-from .tree import ScenarioTree, verify_im_axioms
+from .tree import ScenarioTree
 
 __all__ = [
     "MartingaleFamily",
@@ -150,18 +152,20 @@ class MartingaleFamily:
             return self.terminal_by_u[u]
         return self.carrier.at(self.values_by_u[u], self.carrier.grid.steps)
 
-    def terminal_infinity(self):
-        return np.ones_like(np.asarray(self.terminal(self.u_indices[-1])))
-
 
 _BLOCK = 2048  # children or paths per block of the family pass
 _FOLDS = (None, "adjacent", "all")
-_PATHWISE = ("starts_at_one_minus_z", "nonnegative", "bounded_by_one_minus_z", "nondecreasing_in_u")
+# the report rows of each carrier, in their order; a tree adds the exact
+# martingale row
+_BUNDLE_AXIOMS = ("starts_at_one_minus_z", "nonnegative", "bounded_by_one_minus_z", "nondecreasing_in_u")
+_TREE_AXIOMS = ("martingale", "nonnegative", "bounded_by_one_minus_z", "starts_at_one_minus_z",
+                "nondecreasing_in_u")
 
 
 def _fold_invariants(worst, x, s, new):
-    """Fold a block of one level of the stacked state into the pathwise
-    worst cases; rows from ``new`` on are members starting at this level."""
+    """Fold a block of one level of the stacked state into the worst cases
+    of the pathwise axioms; rows from ``new`` on are members starting at
+    this level."""
     worst["starts_at_one_minus_z"] = max(
         worst["starts_at_one_minus_z"], float(np.max(np.abs(x[new:] - s), initial=0.0))
     )
@@ -200,22 +204,21 @@ def _fold_conditions(agg, mode, witness, dm, ps, x, fdy, image):
 def build_family(
     pair, model, u_indices=None, tol: float = 1e-12, keep: str = "full", conditions=None
 ) -> MartingaleFamily:
-    """Solve M^u from (u, 1 - Z_u) for each requested u and verify invariants.
+    """Solve M^u from (u, 1 - Z_u) for each requested u and verify the axioms.
 
-    One step-major pass (see the module docstring) solves every member.
-    On a tree the full axiom battery (including the exact martingale
-    property through the enumeration oracle) runs afterwards; on bundles
-    the pathwise invariants (start value, bounds, monotonicity in u,
-    terminal normalization) are folded in during the pass, while
-    martingale-property checks are statistical and live in the Monte Carlo
+    One step-major pass (see the module docstring) solves every member and
+    folds the family axioms as it goes: start value, 0 <= M^u <= 1 - Z,
+    monotonicity in u and, when u = N is requested, terminal normalization;
+    on a tree also the exact martingale property.  On bundles the
+    martingale property is statistical and lives in the Monte Carlo
     suites.  A violation beyond `tol` raises `SolverInconsistencyError`
     carrying the report.  ``u_indices`` defaults to the whole grid.
-    ``keep="terminal"`` (bundles only) stores just the terminal slice per
-    u; the pass holds two levels of the stacked state, never a member's
-    trajectory.  ``conditions`` folds the slacks of pair conditions
-    (i)-(iii) into ``MartingaleFamily.conditions``: "adjacent" checks each
-    member with the one before it plus the witness pair (N // 2, 0), "all"
-    every ordered pair; None (the default) folds nothing.
+    ``keep="terminal"`` stores just the terminal slice per u; the pass
+    holds two levels of the stacked state, never a member's trajectory.
+    ``conditions`` folds the slacks of pair conditions (i)-(iii) into
+    ``MartingaleFamily.conditions``: "adjacent" checks each member with the
+    one before it plus the witness pair (N // 2, 0), "all" every ordered
+    pair; None (the default) folds nothing.
     """
     carrier = pair.carrier
     n = carrier.grid.steps
@@ -231,9 +234,7 @@ def build_family(
     if conditions not in _FOLDS:
         raise ConfigurationError(f"unknown pair-condition fold {conditions!r}")
     exact = isinstance(carrier, ScenarioTree)
-    if keep == "terminal" and exact:
-        raise ConfigurationError("terminal storage is a bundle option")
-    worst = None if exact else dict.fromkeys(_PATHWISE, 0.0)
+    worst = dict.fromkeys(_TREE_AXIOMS if exact else _BUNDLE_AXIOMS, 0.0)
     agg = None if conditions is None else _new_condition_agg()
     witness = None
     if conditions == "adjacent" and n // 2 >= 1 and 0 in us and n // 2 in us:
@@ -262,13 +263,15 @@ def build_family(
                 x = carrier.lift(x)
                 image, fdy = _advance(x, dm[ch], carrier.lift(f), dy[:, ch])
                 x_k[:active, ch] = image
-                if worst is not None:
-                    _fold_invariants(worst, x_k[:, ch], s_k[ch], active)
+                if exact:
+                    resid = carrier.step_expectation(image).reshape(active, -1) - x_prev[:, par]
+                    worst["martingale"] = max(worst["martingale"], float(np.max(np.abs(resid))))
+                _fold_invariants(worst, x_k[:, ch], s_k[ch], active)
                 if agg is not None:
                     _fold_conditions(
                         agg, conditions, witness, dm[ch], carrier.lift(ps[par]), x, fdy, image
                     )
-        elif worst is not None:
+        else:
             _fold_invariants(worst, x_k, s_k, 0)
         if keep == "full":
             for i in range(started):
@@ -285,17 +288,15 @@ def build_family(
         terminal_by_u=terminal,
         conditions=agg,
     )
-    if exact:
-        family.report = verify_im_axioms(carrier, family, tol=tol)
-    else:
-        if us[-1] == n:
-            worst["terminal_normalization"] = float(
-                np.max(np.abs(x_prev[-1] + (1.0 - carrier.at(model.s, n)) - 1.0))
-            )
-        checks = [
-            {"name": name, "max_violation": val, "pass": val <= tol} for name, val in worst.items()
-        ]
-        family.report = {"checks": checks, "pass": all(c["pass"] for c in checks)}
+    if us[-1] == n:
+        # M^N is 1 - Z_N; adding the survival mass Z_N gives total mass one
+        worst["terminal_normalization"] = float(
+            np.max(np.abs(x_prev[-1] + (1.0 - carrier.at(model.s, n)) - 1.0))
+        )
+    checks = [
+        {"name": name, "max_violation": val, "pass": val <= tol} for name, val in worst.items()
+    ]
+    family.report = {"checks": checks, "pass": all(c["pass"] for c in checks)}
     if not family.report["pass"]:
         bad = max(c["max_violation"] for c in family.report["checks"])
         raise SolverInconsistencyError(

@@ -134,6 +134,15 @@ def _sigma_units(value, se):
     return 0.0 if value == 0.0 else float("inf")
 
 
+def _tau_beyond_row(samples, model, sigma_mult):
+    """Sampled beyond-horizon share against its expectation E[Z_N], in
+    standard errors, gated at the sigma multiplier."""
+    expected = float(np.mean(1.0 - model.s[:, -1]))
+    observed = float(np.mean(samples.beyond))
+    se = float(np.sqrt(max(expected * (1.0 - expected), 0.0) / samples.n_paths))
+    return _row("tau_beyond_sigma_units", _sigma_units(observed - expected, se), sigma_mult)
+
+
 def _sidak_level(sigma, n_tests):
     """Per-test |z| level of a battery of ``n_tests`` z-scores whose
     family-wise two-sided false-alarm rate is that of one z-score at
@@ -248,8 +257,6 @@ def mc_suite(
     """
     checks = []
     tables = {}
-    n = bundle.grid.steps
-    s = model.s
     try:
         family = build_family(
             pair, model, tol=tol_exact, keep="terminal",
@@ -272,11 +279,7 @@ def mc_suite(
     )
 
     samples = sample_tau(family, model, philox_stream(seed, "tau-samples"))
-    z_term = 1.0 - s[:, n]
-    expected = float(np.mean(z_term))
-    observed = float(np.mean(samples.beyond))
-    se = float(np.sqrt(max(expected * (1.0 - expected), 0.0) / samples.n_paths))
-    checks.append(_row("tau_beyond_sigma_units", _sigma_units(observed - expected, se), sigma_mult))
+    checks.append(_tau_beyond_row(samples, model, sigma_mult))
 
     counts = np.bincount(samples.cell, minlength=len(family.u_indices) + 1)
     cum = np.cumsum(counts) / samples.n_paths
@@ -560,10 +563,13 @@ def polarize_suite(
     u_times=None,
     tol_exact=1e-12,
 ):
-    rep = polarization_experiment(
-        t_values=t_values, n_paths=n_paths, dt=dt, u_times=u_times,
-        eta=eta, seed=seed, n_bins=n_bins,
-    )
+    try:
+        rep = polarization_experiment(
+            t_values=t_values, n_paths=n_paths, dt=dt, u_times=u_times,
+            eta=eta, seed=seed, n_bins=n_bins, tol=tol_exact,
+        )
+    except SolverInconsistencyError as exc:
+        return _suite("polarize", _family_rows(exc.report, tol_exact))
     checks = [
         _row(
             "interior_fraction_strictly_decreasing",

@@ -12,7 +12,9 @@ over children.  Together with power-of-two branch probabilities this makes
 "martingale increment has zero conditional mean" an exact float statement
 for increments of the form (predictable coefficient) * (pattern value in
 {0, +1, -1}), and `recenter_children` extends that exactness to arbitrary
-per-child increments.
+per-child increments.  `family.build_family` relies on it: its pass
+checks the martingale property of every family member exactly, one block
+of sibling groups at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = [
     "doob_decompose_exact",
     "build_tree_z",
     "build_product_measure",
-    "verify_im_axioms",
     "tree_path_matrix",
     "tree_to_json",
     "tree_from_json",
@@ -303,58 +304,6 @@ def build_product_measure(tree: ScenarioTree, family) -> ProductMeasure:
     cells[n_u] = 1.0 - cdf[-1]
     weights = cells * leaf_probs
     return ProductMeasure(tree=tree, u_indices=u_indices, weights=weights, leaf_probs=leaf_probs)
-
-
-def verify_im_axioms(tree: ScenarioTree, family, tol: float = 1e-12) -> dict:
-    """Exhaustive check of the increasing-martingale-family axioms.
-
-    Checks, per u on the grid: martingale property on [u, N], bounds
-    0 <= M^u <= 1 - Z, the start condition M^u_u = 1 - Z_u, monotonicity
-    in u, and normalization of the full-horizon solution.  Returns a
-    report dict; it never raises (negative controls inspect the report).
-    """
-    checks = []
-
-    def record(name, violation):
-        checks.append(
-            {"name": name, "max_violation": float(violation), "pass": bool(violation <= tol)}
-        )
-
-    n = tree.depth
-    one_minus_z = family.one_minus_z
-    worst_mart = 0.0
-    worst_low = 0.0
-    worst_high = 0.0
-    worst_start = 0.0
-    for u in family.u_indices:
-        vals = family.values(u)
-        worst_start = max(worst_start, float(np.max(np.abs(vals[u] - one_minus_z[u]))))
-        for k in range(u + 1, n + 1):
-            resid = tree.step_expectation(vals[k]) - vals[k - 1]
-            worst_mart = max(worst_mart, float(np.max(np.abs(resid))))
-        for k in range(u, n + 1):
-            worst_low = max(worst_low, float(np.max(-vals[k])))
-            worst_high = max(worst_high, float(np.max(vals[k] - one_minus_z[k])))
-    record("martingale", worst_mart)
-    record("nonnegative", worst_low)
-    record("bounded_by_one_minus_z", worst_high)
-    record("starts_at_one_minus_z", worst_start)
-
-    worst_mono = 0.0
-    us = list(family.u_indices)
-    for lo, hi in zip(us[:-1], us[1:]):
-        vlo, vhi = family.values(lo), family.values(hi)
-        for k in range(hi, n + 1):
-            worst_mono = max(worst_mono, float(np.max(vlo[k] - vhi[k])))
-    record("nondecreasing_in_u", worst_mono)
-
-    if us[-1] == n:
-        # at u = N the solution is 1 - Z_N; adding the survival mass Z_N
-        # must give total mass one
-        full = family.values(us[-1])
-        z_term = 1.0 - one_minus_z[n]
-        record("terminal_normalization", float(np.max(np.abs(full[n] + z_term - 1.0))))
-    return {"checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
 def tree_path_matrix(tree: ScenarioTree, step_arrays: list, predictable: bool = False) -> np.ndarray:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from defaultlab import cli
+from defaultlab import cli, family as family_mod
 from defaultlab.config import config_hash, default_config, validate_config
 from defaultlab.default_measure import sample_tau
 from defaultlab.family import build_family
@@ -152,6 +152,31 @@ def test_sample_tau_csv_is_the_row_writer_bytes(tmp_path):
     assert got == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_build_family_writes_the_failing_axiom_rows_and_exits_1(tmp_path, shifted_advance):
+    out = tmp_path / "bad"
+    code = cli.main(["build-family", "--config", write_cfg(tmp_path, small_raw()), "--out", str(out)])
+    assert code == 1
+    summary = json.loads((out / "build-family" / "summary.json").read_text())
+    assert summary["pass"] is False
+    assert all(c["name"].startswith("family_axioms/") for c in summary["checks"])
+    failing = [c for c in summary["checks"] if not c["pass"]]
+    assert [c["name"] for c in failing] == ["family_axioms/martingale"]
+    assert abs(failing[0]["value"] - 1e-9) < 1e-12
+    assert os.listdir(out / "build-family") == ["summary.json"]
+
+
+def test_sample_tau_writes_the_failing_axiom_rows_and_exits_1(tmp_path, monkeypatch):
+    # members started 1e-9 above 1 - Z_u
+    start = family_mod._start_level
+    monkeypatch.setattr(family_mod, "_start_level", lambda *args: start(*args) + 1e-9)
+    out = tmp_path / "bad"
+    assert cli.main(["sample-tau", "--config", write_cfg(tmp_path, small_raw()), "--out", str(out)]) == 1
+    summary = json.loads((out / "sample-tau" / "summary.json").read_text())
+    row = {c["name"]: c for c in summary["checks"]}["family_axioms/starts_at_one_minus_z"]
+    assert not row["pass"] and summary["pass"] is False
+    assert os.listdir(out / "sample-tau") == ["summary.json"]
+
+
 def test_polarize_handler_wiring(tmp_path, monkeypatch):
     seen = {}
 
@@ -173,6 +198,18 @@ def test_polarize_handler_wiring(tmp_path, monkeypatch):
     exp = json.loads((tmp_path / "pol" / "polarize" / "experiment.json").read_text())
     assert exp["t_values"] == [5.0]
     assert (tmp_path / "pol" / "polarize" / "interior_fraction.csv").exists()
+
+
+def test_polarize_failing_family_writes_its_rows_only(tmp_path, monkeypatch):
+    # a family refused by its axioms leaves polarize_suite no experiment
+    def stub(n_paths, seed, tol_exact):
+        row = {"name": "family_axioms/nonnegative", "value": 1e-9, "tol": tol_exact, "pass": False}
+        return {"suite": "polarize", "checks": [row], "pass": False,
+                "residuals": {row["name"]: 1e-9}, "tables": {}}
+
+    monkeypatch.setattr(cli.suites, "polarize_suite", stub)
+    assert cli.main(["polarize", "--out", str(tmp_path / "pol")]) == 1
+    assert os.listdir(tmp_path / "pol" / "polarize") == ["summary.json"]
 
 
 def test_regularity_handler_merges(tmp_path, monkeypatch):

@@ -70,11 +70,22 @@ def rejects(mutate, match=None):
 
 
 def test_validate_rejects_bad_schema():
-    rejects(lambda r: r.update(schema_version=2), "schema_version")
+    rejects(lambda r: r.update(schema_version=3), "schema_version")
     rejects(lambda r: r.pop("schema_version"), "schema_version")
     rejects(lambda r: r.update(extra_block={}), "extra_block")
     rejects(lambda r: r.pop("grid"), "grid")
     rejects(lambda r: r["grid"].update(unknown=1), "unknown")
+
+
+def test_saved_version_1_config_is_refused_by_its_version():
+    # every version-1 config holds the removed keys tree.b and mc.batch
+    raw = default_config()
+    raw["schema_version"] = 1
+    raw["tree"]["b"] = 3
+    raw["mc"]["batch"] = 0
+    msg = r"schema_version: expected 2, got 1 \(version 2 removed tree.b, mc.batch and pair.m\)"
+    with pytest.raises(ConfigurationError, match=msg):
+        validate_config(raw)
 
 
 def test_validate_rejects_bad_values():
@@ -84,7 +95,8 @@ def test_validate_rejects_bad_values():
     rejects(lambda r: r["z"].update(sigma=True), "sigma")
     rejects(lambda r: r["grid"].update(steps=0), "steps")
     rejects(lambda r: r["grid"].update(steps=2.5), "steps")
-    rejects(lambda r: r["tree"].update(b=2), "b must be 3")
+    rejects(lambda r: r["tree"].update(b=3), r"tree: unknown keys \['b'\]")
+    rejects(lambda r: r["mc"].update(batch=0), r"mc: unknown keys \['batch'\]")
     rejects(lambda r: r["tree"].update(depth=13), "depth")
     rejects(lambda r: r["tree"].update(with_coin=1), "with_coin")
     rejects(lambda r: r["mc"].update(paths=-1), "paths")
@@ -93,12 +105,9 @@ def test_validate_rejects_bad_values():
 
 
 def test_validate_rejects_bad_pair():
-    rejects(lambda r: r["pair"].update(m=3), "m")
+    rejects(lambda r: r["pair"].update(m=2), r"pair: unknown keys \['m'\]")
     rejects(lambda r: r["pair"].update(components=[]), "component")
     rejects(lambda r: r["pair"]["components"][0].update(unknown=1), "unknown")
     rejects(lambda r: r["pair"]["components"][0].update(bumps=[[0.3, 0.2]]), "bumps")
     rejects(lambda r: r["pair"]["components"][1].update(plateaus=[[0.2, 0.6, 0.2]]), "plateaus")
     rejects(lambda r: r["pair"]["components"][0].update(time_affine=[1.0]), "time_affine")
-    raw = default_config()
-    raw["pair"]["m"] = 2
-    assert validate_config(raw).spec.m == 2

@@ -25,6 +25,7 @@ from defaultlab.family import (
 from defaultlab.grids import TimeGrid, sample_bundle, three_branch_model
 from defaultlab.survival import ZGeneratorConfig, generate_z
 from defaultlab.tree import ScenarioTree, build_product_measure
+from im_axioms import verify_im_axioms
 from pair_conditions import reference_conditions
 
 
@@ -45,6 +46,13 @@ def tree_setup(steps=4, spec=None, seed=3, **kw):
     model = generate_z(cfg, tree)
     pair = build_y(spec or mixed_spec(), model, seed=seed)
     return tree, model, pair
+
+
+def coin_tree_setup(with_coin):
+    grid = TimeGrid(horizon=1.0, steps=4)
+    tree = ScenarioTree(grid, three_branch_model(with_coin=with_coin))
+    model = generate_z(ZGeneratorConfig(z0=0.5, rate=0.3, sigma=0.5, jump_scale=0.3), tree)
+    return tree, model, build_y(mixed_spec(), model, seed=3)
 
 
 def bundle_setup(steps=8, n_paths=500, spec=None, seed=11, **kw):
@@ -169,7 +177,6 @@ def test_family_bundle_invariants_and_subset():
     assert fam.u_indices == [0, 2, 4, 6, 8]
     term = fam.terminal(8)
     np.testing.assert_array_equal(term, model.s[:, 8])
-    assert np.all(fam.terminal_infinity() == 1.0)
 
 
 def test_family_bundle_report_same_for_full_and_terminal_storage():
@@ -236,10 +243,7 @@ def test_family_pass_matches_member_by_member_across_block_edges(n_paths):
 
 @pytest.mark.parametrize("with_coin", [False, True])
 def test_all_pairs_fold_on_a_tree_equals_the_per_pair_sweep(with_coin):
-    grid = TimeGrid(horizon=1.0, steps=4)
-    tree = ScenarioTree(grid, three_branch_model(with_coin=with_coin))
-    model = generate_z(ZGeneratorConfig(z0=0.5, rate=0.3, sigma=0.5, jump_scale=0.3), tree)
-    pair = build_y(mixed_spec(), model, seed=3)
+    tree, model, pair = coin_tree_setup(with_coin)
     fam = build_family(pair, model, conditions="all")
     want = reference_conditions(pair, model, "all")
     assert fam.conditions == want
@@ -252,6 +256,39 @@ def test_all_pairs_fold_on_a_tree_equals_the_per_pair_sweep(with_coin):
         for k, level in enumerate(solve_natural(pair, model, u, model.s[u])):
             if k >= u:
                 np.testing.assert_array_equal(fam.values(u)[k], level)
+
+
+@pytest.mark.parametrize("with_coin", [False, True])
+def test_tree_pass_report_equals_the_member_by_member_oracle(with_coin):
+    tree, model, pair = coin_tree_setup(with_coin)
+    fam = build_family(pair, model)
+    assert fam.report["pass"]
+    assert fam.report == verify_im_axioms(tree, fam)
+
+
+@pytest.mark.parametrize("with_coin", [False, True])
+def test_tree_pass_and_oracle_flag_a_seeded_defect_alike(shifted_advance, with_coin):
+    # every step lands 1e-9 high: the pass refuses the family, and its report
+    # equals the oracle's on the same (defective) members, row for row
+    tree, model, pair = coin_tree_setup(with_coin)
+    with pytest.raises(SolverInconsistencyError) as err:
+        build_family(pair, model)
+    want = verify_im_axioms(tree, build_family(pair, model, tol=np.inf))
+    assert err.value.report == want
+    failing = {c["name"]: c["max_violation"] for c in want["checks"] if not c["pass"]}
+    assert "martingale" in failing
+    assert abs(failing["martingale"] - 1e-9) < 1e-12
+
+
+def test_tree_terminal_storage_keeps_the_slices_and_the_report():
+    tree, model, pair = tree_setup(steps=5)
+    full = build_family(pair, model, conditions="all")
+    term = build_family(pair, model, keep="terminal", conditions="all")
+    assert term.report == full.report and term.conditions == full.conditions
+    for u in full.u_indices:
+        np.testing.assert_array_equal(term.terminal(u), full.terminal(u))
+    with pytest.raises(ConfigurationError):
+        term.values(0)
 
 
 def test_fused_pair_conditions_see_a_seeded_defect():

@@ -128,22 +128,27 @@ def test_tree_suite_evaluates_f_once_per_member_step(monkeypatch):
     assert sum(points) == members + 2 * members + atom == 466
 
 
-@pytest.mark.parametrize("carrier", ["tree", "bundle"])
+@pytest.mark.parametrize("carrier", ["tree", "bundle", "polarize"])
 def test_failed_family_writes_every_family_axiom_row(monkeypatch, carrier):
     # members started 1e-9 above 1 - Z_u: the suites must still write each
     # family_axioms/<name> row with its value and tolerance, the start row
-    # failing
+    # failing (a solver step shifted by 1e-9 would pass every bundle row:
+    # bundles have no exact martingale row)
     cfg = small_cfg(mc={"paths": 300})
     start = family._start_level
     monkeypatch.setattr(family, "_start_level", lambda *args: start(*args) + 1e-9)
+    names = ["starts_at_one_minus_z", "nonnegative", "bounded_by_one_minus_z",
+             "nondecreasing_in_u", "terminal_normalization"]
     if carrier == "tree":
         rep = tree_suite(*build_tree_world(cfg), cfg.tol_exact, atom_tol=cfg.atom_tol)
         names = ["martingale", "nonnegative", "bounded_by_one_minus_z", "starts_at_one_minus_z",
                  "nondecreasing_in_u", "terminal_normalization"]
-    else:
+    elif carrier == "bundle":
         rep = mc_suite(*build_mc_world(cfg), cfg.seed)
-        names = ["starts_at_one_minus_z", "nonnegative", "bounded_by_one_minus_z",
-                 "nondecreasing_in_u", "terminal_normalization"]
+    else:
+        rep = polarize_suite(t_values=(2.0,), n_paths=200, seed=3, u_times=(0.0, 1.0, 2.0),
+                             tol_exact=cfg.tol_exact)
+        assert "experiment" not in rep
     assert not rep["pass"]
     assert [c["name"] for c in rep["checks"]] == [f"family_axioms/{n}" for n in names]
     row = check_map(rep)["family_axioms/starts_at_one_minus_z"]
@@ -237,16 +242,20 @@ def test_polarization_experiment_decreases_small():
 
 
 def test_polarize_terminal_bounds_negative_control(monkeypatch):
-    # members shifted up by 1e-9: the u = T member starts at 1 - Z_T
-    # bitwise, so the shift breaches the upper bound by 1e-9
-    from defaultlab import default_measure
+    # terminal slices shifted up by 1e-9 after the family pass: the u = T
+    # member is 1 - Z_T bitwise, so the shift breaches the upper bound by 1e-9
+    build = default_measure.build_family
 
-    solve = default_measure.solve_natural
-    monkeypatch.setattr(default_measure, "solve_natural", lambda *args: solve(*args) + 1e-9)
+    def shifted(*args, **kwargs):
+        fam = build(*args, **kwargs)
+        fam.terminal_by_u = {u: v + 1e-9 for u, v in fam.terminal_by_u.items()}
+        return fam
+
+    monkeypatch.setattr(default_measure, "build_family", shifted)
     rep = polarize_suite(t_values=(2.0,), n_paths=200, seed=3, u_times=(0.0, 1.0, 2.0))
     check = check_map(rep)["terminal_bounds_max_violation"]
     assert not check["pass"] and not rep["pass"]
     assert abs(check["value"] - 1e-9) < 1e-12
-    monkeypatch.setattr(default_measure, "solve_natural", solve)
+    monkeypatch.setattr(default_measure, "build_family", build)
     rep = polarize_suite(t_values=(2.0,), n_paths=200, seed=3, u_times=(0.0, 1.0, 2.0))
     assert check_map(rep)["terminal_bounds_max_violation"]["pass"]

@@ -17,8 +17,8 @@ from defaultlab.tree import (
     doob_decompose_exact,
     tree_from_json,
     tree_to_json,
-    verify_im_axioms,
 )
+from im_axioms import verify_im_axioms
 
 
 def small_tree(steps=4, with_coin=False):
